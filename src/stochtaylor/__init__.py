@@ -11,143 +11,20 @@ surfaces, and benchmarks the whole pipeline on a registry of test
 functions. The ``stochtaylor`` command exposes the same workflow on files.
 """
 
-from .errors import (
-    DataError,
-    DomainError,
-    FitFailure,
-    NotSampleableError,
-    NumericRangeError,
-    StochTaylorError,
-)
-from .model import (
-    ComponentParams,
-    GeneralIntensity,
-    SteModel,
-    centered_power_moment,
-    eval_component,
-    evaluate,
-    evaluate_general,
-    from_taylor_polynomial,
-    load_model,
-    model_from_dict,
-    model_from_json,
-    model_to_dict,
-    model_to_json,
-    power_moment,
-    predict_grid,
-    predict_original_units,
-    save_model,
-)
-from .rng import RngStream
-from .simulate import (
-    Envelope,
-    PointPattern,
-    envelope,
-    envelope_to_csv,
-    is_sampleable,
-    mc_mean,
-    mc_values,
-    sample_pattern,
-    ste_realization,
-)
-from .fit import (
-    Dataset,
-    FitConfig,
-    FitResult,
-    SelectedFit,
-    UnderdeterminedWarning,
-    choose_origin,
-    fit_fixed_m,
-    objective_gradient,
-    objective_value,
-    pack_params,
-    rss,
-    select_model,
-    sigma2_mle,
-    unpack_params,
-)
-from .metrics import (
-    GridSpec,
-    integrated_sq_distance,
-    l1_distance,
-    shift_window_above,
-    trapezoid_weights,
-)
-from .bench import (
-    REGISTRY,
-    ExperimentReport,
-    ExperimentSpec,
-    TestFunction,
-    default_spec,
-    get_test_function,
-    load_experiment_specs,
-    make_dataset,
-    run_experiment,
-)
+from . import bench, errors, fit, metrics, model, rng, simulate
+from .errors import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .fit import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# The package exports exactly the submodules' public names.
 __all__ = [
-    "ComponentParams",
-    "SteModel",
-    "GeneralIntensity",
-    "power_moment",
-    "centered_power_moment",
-    "eval_component",
-    "evaluate",
-    "evaluate_general",
-    "from_taylor_polynomial",
-    "predict_grid",
-    "predict_original_units",
-    "model_to_dict",
-    "model_from_dict",
-    "model_to_json",
-    "model_from_json",
-    "save_model",
-    "load_model",
-    "RngStream",
-    "PointPattern",
-    "Envelope",
-    "is_sampleable",
-    "sample_pattern",
-    "ste_realization",
-    "mc_values",
-    "mc_mean",
-    "envelope",
-    "envelope_to_csv",
-    "Dataset",
-    "FitConfig",
-    "FitResult",
-    "SelectedFit",
-    "UnderdeterminedWarning",
-    "choose_origin",
-    "rss",
-    "sigma2_mle",
-    "pack_params",
-    "unpack_params",
-    "objective_value",
-    "objective_gradient",
-    "fit_fixed_m",
-    "select_model",
-    "GridSpec",
-    "trapezoid_weights",
-    "integrated_sq_distance",
-    "l1_distance",
-    "shift_window_above",
-    "TestFunction",
-    "ExperimentSpec",
-    "ExperimentReport",
-    "REGISTRY",
-    "get_test_function",
-    "default_spec",
-    "make_dataset",
-    "run_experiment",
-    "load_experiment_specs",
-    "StochTaylorError",
-    "DomainError",
-    "NumericRangeError",
-    "NotSampleableError",
-    "FitFailure",
-    "DataError",
-    "__version__",
-]
+    name
+    for module in (model, rng, simulate, fit, metrics, bench, errors)
+    for name in module.__all__
+] + ["__version__"]

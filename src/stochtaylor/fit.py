@@ -29,7 +29,15 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DomainError, FitFailure, NumericRangeError
-from .model import ComponentParams, SteModel, evaluate
+from .model import (
+    ComponentParams,
+    SteModel,
+    _mean_terms,
+    _mean_values,
+    _offsets,
+    _stack_components,
+    evaluate,  # noqa: F401 -- a module attribute that perfbench/spans.py patches
+)
 from .rng import RngStream
 
 __all__ = [
@@ -58,6 +66,7 @@ __all__ = [
 # parameter vector (20 clipped terms leave sum(residual^2) < 1e300); both
 # caps sit many orders of magnitude outside any parameter region a usable
 # fit can occupy, and derivative paths through a clipped quantity are zeroed.
+# This is the optimizer's side of the overflow policy in the model docstring.
 SIGMA_FLOOR = 1e-8
 _EXP_CLIP = 200.0
 _COEFF_CLIP = 1e60
@@ -206,18 +215,13 @@ def choose_origin(X, delta_frac: float) -> np.ndarray:
 
 
 def rss(model: SteModel, data: Dataset) -> float:
-    """Residual sum of squares sum_k (y_k - evaluate(model, x_k))**2."""
-    total = 0.0
-    for k in range(data.K):
-        try:
-            fk = evaluate(model, data.X[k])
-        except DomainError as exc:
-            raise DomainError(f"row {k}: {exc}") from None
-        except NumericRangeError as exc:
-            raise NumericRangeError(f"row {k}: {exc}") from None
-        residual = data.y[k] - fk
-        total += residual * residual
-    return float(total)
+    """Residual sum of squares sum_k (y_k - evaluate(model, x_k))**2.
+
+    Errors name the offending row.
+    """
+    pred = _mean_values(*_offsets(data.X, model.x0), _stack_components(model.components))
+    residual = data.y - pred
+    return float(residual @ residual)
 
 
 def sigma2_mle(rss_value: float, K: int) -> float:
@@ -315,11 +319,9 @@ def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
     """Predictions of the transformed parameter vector at precomputed log offsets."""
     mu_a, s_a, mu_n, s_n, z = _split_params(v, m, d)
     sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
-    corr = log_delta @ (rho * sigma_n).T
-    coeff_raw = mu_a[None, :] + sigma_a[None, :] * corr
+    corr, coeff_raw, exponent_sum = _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho)
     coeff_mask = np.abs(coeff_raw) < _COEFF_CLIP
     coeff = np.clip(coeff_raw, -_COEFF_CLIP, _COEFF_CLIP)
-    exponent_sum = log_delta @ mu_n.T + 0.5 * (log_delta**2) @ (sigma_n**2).T
     power_mask = exponent_sum <= _EXP_CLIP
     powers = np.exp(np.where(power_mask, exponent_sum, _EXP_CLIP))
     pred = (coeff * powers).sum(axis=1)
@@ -357,22 +359,10 @@ def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarr
     return J
 
 
-def _log_offsets(X: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    deltas = X - x0[None, :]
-    bad = np.nonzero(~(deltas > 0.0).all(axis=1))[0]
-    if bad.size:
-        k = int(bad[0])
-        raise DomainError(
-            f"row {k}: coordinates {X[k].tolist()} not strictly above the origin "
-            f"{x0.tolist()}"
-        )
-    return np.log(deltas)
-
-
 def objective_value(v, m: int, data: Dataset, x0) -> float:
     """RSS of an unconstrained parameter vector (the optimizer's objective)."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    log_delta = _log_offsets(data.X, x0)
+    _, log_delta = _offsets(data.X, x0)
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != m * params_width(data.d):
         raise DomainError(
@@ -386,7 +376,7 @@ def objective_value(v, m: int, data: Dataset, x0) -> float:
 def objective_gradient(v, m: int, data: Dataset, x0) -> np.ndarray:
     """Analytic gradient of :func:`objective_value` with respect to v."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    log_delta = _log_offsets(data.X, x0)
+    _, log_delta = _offsets(data.X, x0)
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != m * params_width(data.d):
         raise DomainError(
@@ -427,7 +417,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
         raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
     if not np.isfinite(x0).all():
         raise DomainError("x0 must be finite")
-    log_delta = _log_offsets(data.X, x0)
+    _, log_delta = _offsets(data.X, x0)
     n_params = m * params_width(data.d)
     underdetermined = data.K < n_params
     if underdetermined:

@@ -13,13 +13,24 @@ each component contributes
 
 with d_r = x_r - x0_r > 0. :func:`evaluate` sums the components of an
 :class:`SteModel` (total rate M, uniform weights); :func:`evaluate_general`
-scales component m by ``lam * weights[m]`` instead.
+scales component m by ``lam * weights[m]`` instead. Every evaluation entry
+point, and ``fit.rss``, runs the one vectorised kernel :func:`_mean_values`;
+the optimizer's objective ``fit._forward`` shares its :func:`_mean_terms`.
 
 Evaluation points are plain float sequences; the strict requirement
-x[r] > x0[r] is enforced at every call. Values whose magnitude would exceed
-the largest finite double raise :class:`~stochtaylor.errors.NumericRangeError`
-(overflow is detected in log-magnitude form internally); the remedy is to
-work in rescaled units, recorded in ``SteModel.rescale``.
+x[r] > x0[r] is enforced at every call, and errors name the offending row.
+
+Overflow policy:
+
+- Evaluation raises :class:`~stochtaylor.errors.NumericRangeError` when a
+  term or a total would exceed the largest finite double (a term whose
+  power product overflows is recomputed in log-magnitude form first). The
+  remedy is to work in rescaled units, recorded in ``SteModel.rescale``.
+- The optimizer's objective (``fit._forward``) never raises: it clips each
+  term's power factor at ``exp(200)`` and its coefficient at ``1e60``, and
+  zeroes the Jacobian paths through a clipped quantity.
+- Realizations (``simulate.ste_realization``, ``simulate.mc_values``) raise
+  NumericRangeError on any non-finite value.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -287,70 +297,116 @@ def centered_power_moment(delta: float, mu: float, sigma: float) -> float:
     return out
 
 
-def _check_point(x, x0: Sequence[float], d: int) -> tuple[list[float], list[float]]:
-    """Validate x > x0 strictly; return (delta, log_delta) lists."""
-    xs = [float(v) for v in x]
-    if len(xs) != d:
-        raise DomainError(f"point has {len(xs)} coordinates, expected {d}")
-    delta = []
-    log_delta = []
-    for r in range(d):
-        if not math.isfinite(xs[r]):
-            raise DomainError(f"coordinate {r} is not finite: {xs[r]}")
-        dr = xs[r] - x0[r]
-        if dr <= 0.0:
-            raise DomainError(
-                f"coordinate {r}: x={xs[r]} must lie strictly above the origin {x0[r]}"
-            )
-        delta.append(dr)
-        log_delta.append(math.log(dr))
-    return delta, log_delta
+# Rows per block of the evaluation kernel. Every block is padded to this
+# many rows before its matrix products, so BLAS always sees one shape: its
+# results for a row otherwise depend on how many rows share the call (for
+# d >= 2), and a point would not get the same value alone as in a grid.
+_BLOCK_ROWS = 512
 
 
-def _component_value(comp: ComponentParams, delta: list[float], log_delta: list[float]) -> float:
-    """One component's contribution at the point with offsets ``delta``.
+def _offsets(points, x0) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets x - x0 of an (N, d) array of points, and their logs.
 
-    Normal path multiplies per-coordinate powers directly (keeping exact
-    cases exact); on intermediate overflow it falls back to the
-    log-magnitude + sign form and errors only if the final magnitude
-    genuinely exceeds double range.
+    A 1-D array is a column of points (d = 1). Raises DomainError naming the
+    first row that is not finite or not strictly above x0.
     """
-    corr = 0.0
-    for r in range(comp.d):
-        corr += comp.rho[r] * comp.sigma_n[r] * log_delta[r]
-    coeff = comp.mu_a + comp.sigma_a * corr
-
-    prod = 1.0
-    log_prod = 0.0
-    overflowed = False
-    for r in range(comp.d):
-        sn = comp.sigma_n[r]
-        exponent = comp.mu_n[r] + 0.5 * sn * sn * log_delta[r]
-        log_prod += exponent * log_delta[r]
-        if not overflowed:
-            try:
-                factor = delta[r] ** exponent
-            except OverflowError:
-                overflowed = True
-            else:
-                prod *= factor
-                if math.isinf(prod):
-                    overflowed = True
-
-    if not overflowed:
-        value = coeff * prod
-        if not math.isinf(value):
-            return value
-
-    if coeff == 0.0:
-        return 0.0
-    log_mag = math.log(abs(coeff)) + log_prod
-    if not (log_mag <= _LOG_MAX):  # catches +inf and nan
-        raise NumericRangeError(
-            f"component value magnitude exp({log_mag:.6g}) exceeds the largest "
-            "finite double; rescale inputs/outputs to smaller units"
+    x0 = np.asarray(x0, dtype=float)
+    d = x0.shape[0]
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError("points must be real numbers") from exc
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, d)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise DomainError(f"points must be (N, {d}), got shape {pts.shape}")
+    delta = pts - x0
+    ok = (np.isfinite(delta) & (delta > 0.0)).all(axis=1)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DomainError(
+            f"row {k}: point {pts[k].tolist()} must be finite and lie strictly "
+            f"above the origin {x0.tolist()}"
         )
-    return math.copysign(math.exp(log_mag), coeff)
+    return delta, np.log(delta)
+
+
+def _stack_components(components) -> tuple[np.ndarray, ...]:
+    """(mu_a, sigma_a, mu_n, sigma_n, rho) arrays with one row per component."""
+    return (
+        np.array([c.mu_a for c in components]),
+        np.array([c.sigma_a for c in components]),
+        np.array([c.mu_n for c in components]),
+        np.array([c.sigma_n for c in components]),
+        np.array([c.rho for c in components]),
+    )
+
+
+def _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho):
+    """(corr, coeff, log_power), each (N, M), at log offsets ``log_delta`` (N, d).
+
+    corr = sum_r rho_r sigma_n_r ln d_r, coeff = mu_a + sigma_a * corr and
+    log_power = sum_r (mu_n_r + sigma_n_r**2 / 2 * ln d_r) ln d_r, the log of
+    the power factor.
+    """
+    corr = log_delta @ (rho * sigma_n).T
+    coeff = mu_a[None, :] + sigma_a[None, :] * corr
+    log_power = log_delta @ mu_n.T + 0.5 * (log_delta**2) @ (sigma_n**2).T
+    return corr, coeff, log_power
+
+
+def _mean_values(delta, log_delta, arrays, scale=None) -> np.ndarray:
+    """Closed-form mean at each row of ``delta`` (N, d); see the module docstring.
+
+    ``arrays`` are the stacked components (:func:`_stack_components`); the
+    optional ``scale`` multiplies component m's term (``lam * w_m``). Terms
+    are summed in component order. The power factor is formed per
+    coordinate with ``np.power`` so that exact cases stay exact; a term that
+    is not finite is recomputed from log|coeff| + log_power, and raises
+    NumericRangeError if that exceeds the largest finite double.
+    """
+    n, d = delta.shape
+    mu_n, half_var = arrays[2], 0.5 * arrays[3] ** 2
+    block = np.zeros((_BLOCK_ROWS, d))
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        block[:rows] = log_delta[start : start + rows]
+        block[rows:] = 0.0
+        _, coeff, log_power = _mean_terms(block, *arrays)
+        coeff, log_power = coeff[:rows], log_power[:rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = 1.0
+            for r in range(d):
+                exponent = mu_n[:, r] + half_var[:, r] * block[:rows, r, None]
+                power = power * np.power(delta[start : start + rows, r, None], exponent)
+            terms = coeff * power
+        bad = ~np.isfinite(terms)
+        if bad.any():
+            c = coeff[bad]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_mag = np.where(c == 0.0, -np.inf, np.log(np.abs(c)) + log_power[bad])
+            too_big = ~(log_mag <= _LOG_MAX)  # catches +inf and nan
+            if too_big.any():
+                k = start + int(np.nonzero(bad)[0][np.argmax(too_big)])
+                raise NumericRangeError(
+                    f"row {k}: a component value exceeds the largest finite double; "
+                    "rescale inputs/outputs to smaller units"
+                )
+            terms[bad] = np.copysign(np.exp(log_mag), c)
+        if scale is not None:
+            terms = scale * terms
+        total = terms[:, 0].copy()
+        for j in range(1, terms.shape[1]):
+            total += terms[:, j]
+        out[start : start + rows] = total
+    if not np.isfinite(out).all():
+        k = int(np.argmin(np.isfinite(out)))
+        raise NumericRangeError(
+            f"row {k}: the mean exceeds the largest finite double; "
+            "rescale inputs/outputs to smaller units"
+        )
+    return out
 
 
 def eval_component(comp: ComponentParams, x, x0) -> float:
@@ -358,8 +414,7 @@ def eval_component(comp: ComponentParams, x, x0) -> float:
     x0_t = _as_float_tuple(x0, "x0")
     if len(x0_t) != comp.d:
         raise DomainError(f"x0 must have length {comp.d}, got {len(x0_t)}")
-    delta, log_delta = _check_point(x, x0_t, comp.d)
-    return _component_value(comp, delta, log_delta)
+    return float(_mean_values(*_offsets([x], x0_t), _stack_components([comp]))[0])
 
 
 def evaluate(model: SteModel, x) -> float:
@@ -368,16 +423,7 @@ def evaluate(model: SteModel, x) -> float:
     Raises DomainError unless x[r] > x0[r] for every r, and
     NumericRangeError if any term or the total leaves double range.
     """
-    delta, log_delta = _check_point(x, model.x0, model.d)
-    total = 0.0
-    for comp in model.components:
-        total += _component_value(comp, delta, log_delta)
-    if not math.isfinite(total):
-        raise NumericRangeError(
-            "model value exceeds the largest finite double; "
-            "rescale inputs/outputs to smaller units"
-        )
-    return total
+    return float(_mean_values(*_offsets([x], model.x0), _stack_components(model.components))[0])
 
 
 def evaluate_general(g: GeneralIntensity, x) -> float:
@@ -386,17 +432,8 @@ def evaluate_general(g: GeneralIntensity, x) -> float:
     With ``lam = M`` and uniform weights this reduces to :func:`evaluate`
     on the corresponding model (bit for bit when ``M*(1/M) == 1.0``).
     """
-    delta, log_delta = _check_point(x, g.x0, g.d)
-    total = 0.0
-    for weight, comp in zip(g.weights, g.components):
-        scale = g.lam * weight
-        total += scale * _component_value(comp, delta, log_delta)
-    if not math.isfinite(total):
-        raise NumericRangeError(
-            "intensity mean exceeds the largest finite double; "
-            "rescale inputs/outputs to smaller units"
-        )
-    return total
+    scale = g.lam * np.asarray(g.weights)
+    return float(_mean_values(*_offsets([x], g.x0), _stack_components(g.components), scale)[0])
 
 
 def from_taylor_polynomial(coeffs, x0: float) -> SteModel:
@@ -417,25 +454,12 @@ def from_taylor_polynomial(coeffs, x0: float) -> SteModel:
 
 
 def predict_grid(model: SteModel, grid) -> np.ndarray:
-    """Elementwise :func:`evaluate` over an ordered collection of points.
+    """:func:`evaluate` at every point of an ordered collection, vectorised.
 
     ``grid`` is an (N, d) array-like (or length-N sequence of points for
-    d = 1). Domain errors name the first offending point.
+    d = 1). Domain errors name the first offending row.
     """
-    pts = np.asarray(grid, dtype=float)
-    if pts.size == 0:
-        return np.empty(0, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != model.d:
-        raise DomainError(f"grid must be (N, {model.d}), got shape {pts.shape}")
-    out = np.empty(pts.shape[0], dtype=float)
-    for i in range(pts.shape[0]):
-        try:
-            out[i] = evaluate(model, pts[i])
-        except DomainError as exc:
-            raise DomainError(f"grid point {i}: {exc}") from None
-    return out
+    return _mean_values(*_offsets(grid, model.x0), _stack_components(model.components))
 
 
 def predict_original_units(model: SteModel, points) -> np.ndarray:

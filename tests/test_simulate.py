@@ -152,6 +152,16 @@ class TestSteRealization:
         with pytest.raises(DomainError):
             ste_realization(pattern, (0.0,), (0.0,))
 
+    def test_rejects_origin_shorter_than_pattern(self):
+        pattern = PointPattern(events=np.array([[1.5, 0.5, 2.0]]), d=2)
+        with pytest.raises(DomainError):
+            ste_realization(pattern, (4.0, 2.0), (0.0,))
+
+    def test_rejects_origin_longer_than_pattern(self):
+        pattern = PointPattern(events=np.array([[1.5, 0.5, 2.0]]), d=2)
+        with pytest.raises(DomainError):
+            ste_realization(pattern, (4.0, 2.0), (0.0, 0.0, 0.0))
+
 
 class TestMcValues:
     def test_shape_and_determinism(self):
