@@ -11,97 +11,13 @@ any partitioning across workers yields an identical result set.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["RngStream"]
 
 _U64 = (1 << 64) - 1
-_U32 = (1 << 32) - 1
-
-# numpy's SeedSequence hashing constants (NEP 19 keeps its output stable).
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_POOL_SIZE = 4
-# Streams whose seed words are derived together; bounds the state block.
-_BLOCK = 4096
-
-
-def _pcg64_seed_words(seed: int, stream_ids: np.ndarray) -> np.ndarray:
-    """PCG64 seed words of ``SeedSequence(seed, spawn_key=(k,))`` per stream k.
-
-    Returns a (len(stream_ids), 4) uint64 array whose row k equals
-    ``SeedSequence(seed, spawn_key=(stream_ids[k],)).generate_state(4,
-    np.uint64)``, computed for the whole block at once with wrapping uint32
-    arithmetic. ``seed`` is in [0, 2**64) and ``stream_ids`` is uint64. The
-    hash constant advances once per mixing step whatever the data, so every
-    stream follows the same sequence of constants.
-    """
-    n = stream_ids.shape[0]
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _U32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    # Entropy: the seed's 32-bit words zero-padded to the pool size (a spawn
-    # key is present), then the stream id's one or two words.
-    seed_words = [seed & _U32] + ([seed >> 32] if seed >> 32 else [])
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    pool = [hashmix(np.full(n, w, dtype=np.uint32)) for w in seed_words]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    low = (stream_ids & np.uint64(_U32)).astype(np.uint32)
-    high = (stream_ids >> np.uint64(32)).astype(np.uint32)
-    for dst in range(_POOL_SIZE):
-        pool[dst] = mix(pool[dst], hashmix(low))
-    two_words = high != 0
-    if two_words.any():
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(two_words, mix(pool[dst], hashmix(high)), pool[dst])
-
-    words = np.empty((n, 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for w in range(8):
-        value = pool[w % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _U32
-        value = value * np.uint32(hash_const)
-        words[:, w] = value ^ (value >> _XSHIFT)
-    return words.view("<u8")
-
-
-class _SeedWords(ISeedSequence):
-    """Precomputed PCG64 seed words standing in for a SeedSequence.
-
-    PCG64 reads its state from ``generate_state(4, np.uint64)`` and nothing
-    else, so a generator built on this is the one its SeedSequence gives.
-    It cannot spawn.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 @dataclass(frozen=True)
@@ -135,17 +51,3 @@ class RngStream:
     def child(self, offset: int) -> "RngStream":
         """Stream with the same seed and stream_id shifted by ``offset``."""
         return RngStream(self.seed, self.stream_id + int(offset))
-
-    def child_generators(self, count: int) -> Iterator[np.random.Generator]:
-        """Generators of ``child(0)`` .. ``child(count - 1)``, in order.
-
-        Each yields the draws of ``self.child(i).generator()``, but the
-        seed-sequence hashing is done for a block of streams at once rather
-        than once per stream, which is most of a fresh generator's cost.
-        """
-        seed = self.seed & _U64
-        base = np.uint64(self.stream_id & _U64)
-        for start in range(0, count, _BLOCK):
-            ids = np.arange(start, min(start + _BLOCK, count), dtype=np.uint64) + base
-            for words in _pcg64_seed_words(seed, ids):
-                yield np.random.Generator(np.random.PCG64(_SeedWords(words)))

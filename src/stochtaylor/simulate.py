@@ -131,19 +131,13 @@ def is_sampleable(comp: ComponentParams) -> bool:
 
 
 def _component_arrays(g: GeneralIntensity):
-    """Per-component draw table and cumulative weights for event assembly.
-
-    Row j of the (M, 3 + 3d) table holds component j's
-    ``[mu_a, sigma_a, tail, mu_n, sigma_n, rho]``, so one gather by the
-    events' component indices fetches every moment an event needs.
-    """
+    """Stacked per-component moment arrays for vectorized event assembly."""
     mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(g.components)
     # Residual scale of the coefficient after conditioning on the powers;
     # clamp tiny negatives allowed by the PSD slack.
     tail = np.sqrt(np.maximum(0.0, 1.0 - (rho**2).sum(axis=1)))
-    table = np.column_stack([mu_a, sigma_a, tail, mu_n, sigma_n, rho])
     cum_w = np.cumsum(np.asarray(g.weights, dtype=float))
-    return table, cum_w
+    return mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w
 
 
 def _require_sampleable(g: GeneralIntensity) -> None:
@@ -157,27 +151,20 @@ def _require_sampleable(g: GeneralIntensity) -> None:
 
 
 def _draw_events(g, arrays, gen: np.random.Generator) -> np.ndarray:
-    """One pattern's (v, d+1) event matrix ``[a, n]``.
-
-    Fixed draw order: count, components, normals.
-    """
-    table, cum_w = arrays
-    d = g.d
+    """One pattern's event matrix; fixed draw order: count, components, normals."""
+    mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w = arrays
     v = int(gen.poisson(g.lam))
     if g.m > 1:
-        # Inverse-CDF component assignment: one uniform per event. Searching
-        # the first M-1 cut points caps the index at M-1 when rounding leaves
-        # the total weight below a uniform draw.
-        rows = table[np.searchsorted(cum_w[:-1], gen.random(v), side="right")]
+        # Inverse-CDF component assignment: one uniform per event.
+        idx = np.searchsorted(cum_w, gen.random(v), side="right")
+        np.clip(idx, 0, g.m - 1, out=idx)
     else:
-        rows = table
-    z = gen.standard_normal((v, d + 1))
-    zn = z[:, 1:]
-    events = np.empty((v, d + 1))
-    np.add(rows[:, 3 : 3 + d], rows[:, 3 + d : 3 + 2 * d] * zn, out=events[:, 1:])
-    resid = (rows[:, 3 + 2 * d :] * zn).sum(axis=1) + rows[:, 2] * z[:, 0]
-    np.add(rows[:, 0], rows[:, 1] * resid, out=events[:, 0])
-    return events
+        idx = np.zeros(v, dtype=np.intp)
+    z = gen.standard_normal((v, g.d + 1))
+    n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
+    resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
+    a = mu_a[idx] + sigma_a[idx] * resid
+    return np.column_stack([a, n]) if v else np.empty((0, g.d + 1))
 
 
 def sample_pattern(g: GeneralIntensity, rng: RngStream) -> PointPattern:
@@ -239,13 +226,14 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     # a 2-vCPU VM (2*10^4 realizations, 3 points, d=1, M=3) a realization
     # took 80-88 us as written, 180-185 us through the mean kernel (which
     # would put acceptance criterion 2 far over its 60 s limit), and 4-5 us
-    # more with an np.power form of this line. Block-wise generator set-up
-    # and the one-gather event draw later took the same realization from
-    # 69-79 us to 31-36 us on a 2-vCPU Xeon VM, with bit-identical values.
+    # more with an np.power form of this line.
     with np.errstate(over="ignore"):
-        for i, gen in enumerate(rng.child_generators(n_real)):
-            events = _draw_events(g, arrays, gen)
-            values[i] = events[:, 0] @ np.exp(events[:, 1:] @ log_delta.T)
+        for i in range(n_real):
+            events = _draw_events(g, arrays, rng.child(i).generator())
+            if events.shape[0]:
+                values[i] = events[:, 0] @ np.exp(events[:, 1:] @ log_delta.T)
+            else:
+                values[i] = 0.0
     if not np.isfinite(values).all():
         raise NumericRangeError(
             "a realization value exceeds the largest finite double; "

@@ -49,28 +49,6 @@ class TestRngStream:
         with pytest.raises(TypeError):
             RngStream(True, 0)
 
-    @pytest.mark.parametrize(
-        "seed, stream_id",
-        [(0, 0), (41, 3), (2**32 - 1, 2**32 - 2), (2**40 + 5, 2**64 - 2), (-3, -1)],
-    )
-    def test_child_generators_match_child_streams(self, seed, stream_id):
-        # Seeds and stream ids with one and two 32-bit words, and ids that
-        # cross 2**32 and wrap at 2**64 inside the batch.
-        rng = RngStream(seed, stream_id)
-        gens = list(rng.child_generators(5))
-        assert len(gens) == 5
-        for i, gen in enumerate(gens):
-            assert np.array_equal(gen.random(4), rng.child(i).generator().random(4))
-
-    def test_child_generators_cross_blocks(self):
-        rng = RngStream(17, 2)
-        for i, gen in enumerate(rng.child_generators(4100)):
-            if i % 97 == 0 or i >= 4090:
-                assert gen.integers(0, 2**62) == rng.child(i).generator().integers(0, 2**62)
-
-    def test_child_generators_empty(self):
-        assert list(RngStream(1, 0).child_generators(0)) == []
-
 
 class TestIsSampleable:
     def test_single_moderate_correlation(self):
