@@ -34,7 +34,7 @@ from .model import (
     SteModel,
     _mean_terms,
     _mean_values,
-    _offsets,
+    _points,
     _stack_components,
     evaluate,  # noqa: F401 -- a module attribute that perfbench/spans.py patches
 )
@@ -219,7 +219,7 @@ def rss(model: SteModel, data: Dataset) -> float:
 
     Errors name the offending row.
     """
-    pred = _mean_values(*_offsets(data.X, model.x0), _stack_components(model.components))
+    pred = _mean_values(data.X, model.x0, _stack_components(model.components))
     residual = data.y - pred
     return float(residual @ residual)
 
@@ -362,7 +362,7 @@ def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarr
 def objective_value(v, m: int, data: Dataset, x0) -> float:
     """RSS of an unconstrained parameter vector (the optimizer's objective)."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _, log_delta = _offsets(data.X, x0)
+    log_delta = np.log(_points(data.X, x0) - x0)
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != m * params_width(data.d):
         raise DomainError(
@@ -376,7 +376,7 @@ def objective_value(v, m: int, data: Dataset, x0) -> float:
 def objective_gradient(v, m: int, data: Dataset, x0) -> np.ndarray:
     """Analytic gradient of :func:`objective_value` with respect to v."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _, log_delta = _offsets(data.X, x0)
+    log_delta = np.log(_points(data.X, x0) - x0)
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != m * params_width(data.d):
         raise DomainError(
@@ -417,7 +417,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
         raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
     if not np.isfinite(x0).all():
         raise DomainError("x0 must be finite")
-    _, log_delta = _offsets(data.X, x0)
+    log_delta = np.log(_points(data.X, x0) - x0)
     n_params = m * params_width(data.d)
     underdetermined = data.K < n_params
     if underdetermined:

@@ -304,11 +304,12 @@ def centered_power_moment(delta: float, mu: float, sigma: float) -> float:
 _BLOCK_ROWS = 512
 
 
-def _offsets(points, x0) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets x - x0 of an (N, d) array of points, and their logs.
+def _points(points, x0) -> np.ndarray:
+    """``points`` as an (N, d) float array, each row finite and strictly above x0.
 
     A 1-D array is a column of points (d = 1). Raises DomainError naming the
-    first row that is not finite or not strictly above x0.
+    first row whose offset x - x0 is not finite and positive. Rows are checked
+    one block at a time, so no grid-sized array of offsets is made.
     """
     x0 = np.asarray(x0, dtype=float)
     d = x0.shape[0]
@@ -320,15 +321,16 @@ def _offsets(points, x0) -> tuple[np.ndarray, np.ndarray]:
         pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, d)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise DomainError(f"points must be (N, {d}), got shape {pts.shape}")
-    delta = pts - x0
-    ok = (np.isfinite(delta) & (delta > 0.0)).all(axis=1)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise DomainError(
-            f"row {k}: point {pts[k].tolist()} must be finite and lie strictly "
-            f"above the origin {x0.tolist()}"
-        )
-    return delta, np.log(delta)
+    for start in range(0, pts.shape[0], _BLOCK_ROWS):
+        delta = pts[start : start + _BLOCK_ROWS] - x0
+        ok = (np.isfinite(delta) & (delta > 0.0)).all(axis=1)
+        if not ok.all():
+            k = start + int(np.argmin(ok))
+            raise DomainError(
+                f"row {k}: point {pts[k].tolist()} must be finite and lie strictly "
+                f"above the origin {x0.tolist()}"
+            )
+    return pts
 
 
 def _stack_components(components) -> tuple[np.ndarray, ...]:
@@ -355,23 +357,27 @@ def _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho):
     return corr, coeff, log_power
 
 
-def _mean_values(delta, log_delta, arrays, scale=None) -> np.ndarray:
-    """Closed-form mean at each row of ``delta`` (N, d); see the module docstring.
+def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
+    """Closed-form mean at each of ``points``, checked by :func:`_points`.
 
-    ``arrays`` are the stacked components (:func:`_stack_components`); the
+    See the module docstring for the formula. ``arrays`` are the stacked components (:func:`_stack_components`); the
     optional ``scale`` multiplies component m's term (``lam * w_m``). Terms
     are summed in component order. The power factor is formed per
     coordinate with ``np.power`` so that exact cases stay exact; a term that
     is not finite is recomputed from log|coeff| + log_power, and raises
-    NumericRangeError if that exceeds the largest finite double.
+    NumericRangeError if that exceeds the largest finite double. Offsets and
+    their logs are formed one block at a time, so no grid-sized copy is made.
     """
-    n, d = delta.shape
+    pts = _points(points, x0)
+    n, d = pts.shape
     mu_n, half_var = arrays[2], 0.5 * arrays[3] ** 2
+    delta = np.empty((_BLOCK_ROWS, d))
     block = np.zeros((_BLOCK_ROWS, d))
     out = np.empty(n)
     for start in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - start)
-        block[:rows] = log_delta[start : start + rows]
+        np.subtract(pts[start : start + rows], x0, out=delta[:rows])
+        np.log(delta[:rows], out=block[:rows])
         block[rows:] = 0.0
         _, coeff, log_power = _mean_terms(block, *arrays)
         coeff, log_power = coeff[:rows], log_power[:rows]
@@ -379,7 +385,7 @@ def _mean_values(delta, log_delta, arrays, scale=None) -> np.ndarray:
             power = 1.0
             for r in range(d):
                 exponent = mu_n[:, r] + half_var[:, r] * block[:rows, r, None]
-                power = power * np.power(delta[start : start + rows, r, None], exponent)
+                power = power * np.power(delta[:rows, r, None], exponent)
             terms = coeff * power
         bad = ~np.isfinite(terms)
         if bad.any():
@@ -414,7 +420,7 @@ def eval_component(comp: ComponentParams, x, x0) -> float:
     x0_t = _as_float_tuple(x0, "x0")
     if len(x0_t) != comp.d:
         raise DomainError(f"x0 must have length {comp.d}, got {len(x0_t)}")
-    return float(_mean_values(*_offsets([x], x0_t), _stack_components([comp]))[0])
+    return float(_mean_values([x], x0_t, _stack_components([comp]))[0])
 
 
 def evaluate(model: SteModel, x) -> float:
@@ -423,7 +429,7 @@ def evaluate(model: SteModel, x) -> float:
     Raises DomainError unless x[r] > x0[r] for every r, and
     NumericRangeError if any term or the total leaves double range.
     """
-    return float(_mean_values(*_offsets([x], model.x0), _stack_components(model.components))[0])
+    return float(_mean_values([x], model.x0, _stack_components(model.components))[0])
 
 
 def evaluate_general(g: GeneralIntensity, x) -> float:
@@ -433,7 +439,7 @@ def evaluate_general(g: GeneralIntensity, x) -> float:
     on the corresponding model (bit for bit when ``M*(1/M) == 1.0``).
     """
     scale = g.lam * np.asarray(g.weights)
-    return float(_mean_values(*_offsets([x], g.x0), _stack_components(g.components), scale)[0])
+    return float(_mean_values([x], g.x0, _stack_components(g.components), scale)[0])
 
 
 def from_taylor_polynomial(coeffs, x0: float) -> SteModel:
@@ -459,7 +465,7 @@ def predict_grid(model: SteModel, grid) -> np.ndarray:
     ``grid`` is an (N, d) array-like (or length-N sequence of points for
     d = 1). Domain errors name the first offending row.
     """
-    return _mean_values(*_offsets(grid, model.x0), _stack_components(model.components))
+    return _mean_values(grid, model.x0, _stack_components(model.components))
 
 
 def predict_original_units(model: SteModel, points) -> np.ndarray:

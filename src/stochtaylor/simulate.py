@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotSampleableError, NumericRangeError
-from .model import ComponentParams, GeneralIntensity, _offsets, _stack_components
+from .model import ComponentParams, GeneralIntensity, _points, _stack_components
 from .rng import RngStream
 
 __all__ = [
@@ -191,7 +191,7 @@ def ste_realization(pattern: PointPattern, x, x0) -> float:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != pattern.d:
         raise DomainError(f"x0 must have length d={pattern.d}, got {x0.shape[0]}")
-    delta, _ = _offsets([x], x0)
+    delta = _points([x], x0) - x0
     if pattern.count == 0:
         return 0.0
     with np.errstate(over="ignore"):
@@ -213,7 +213,7 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     per-point statistic computed from one matrix shares its realizations
     coherently. ``mc_mean`` and ``envelope`` are reductions of this matrix.
     """
-    _, log_delta = _offsets(grid, g.x0)
+    log_delta = np.log(_points(grid, g.x0) - g.x0)
     if log_delta.shape[0] == 0:
         raise DomainError("grid must contain at least one point")
     if not isinstance(n_real, int) or n_real < 1:

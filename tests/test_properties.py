@@ -25,7 +25,6 @@ from stochtaylor.model import (
     _BLOCK_ROWS,
     _LOG_MAX,
     _mean_values,
-    _offsets,
     _stack_components,
 )
 
@@ -116,7 +115,7 @@ def test_kernel_raises_exactly_when_a_component_leaves_double_range(
     assume(abs(log_mag - _LOG_MAX) > 1e-6)
 
     def kernel() -> float:
-        return _mean_values(*_offsets([[delta]], (0.0,)), _stack_components([comp]))[0]
+        return _mean_values([[delta]], (0.0,), _stack_components([comp]))[0]
 
     if log_mag > _LOG_MAX:
         with pytest.raises(NumericRangeError):
