@@ -8,12 +8,15 @@ a polynomial-like configuration (powers 0..M-1, coefficients from ordinary
 least squares on the implied monomial basis); later starts jitter it with
 growing Gaussian perturbations. The evaluation budget ``max_iters`` is
 shared across starts, so many starts mean shallow local polish per start.
-Model-order selection fits every M = 1..M_max and picks the smallest M
-whose RSS lands inside a tie window around the best RSS (raw argmin would
-nearly always return M_max, since RSS is nonincreasing in M for a capable
-optimizer); the window combines a relative term with the one-standard-error
-width of the RSS statistic itself, so orders that only chase noise do not
-displace smaller ones.
+Model-order selection fits M = 1, 2, ... and picks the smallest M whose
+RSS lands inside a tie window around the best RSS (raw argmin would nearly
+always return M_max, since RSS is nonincreasing in M for a capable
+optimizer); the window combines a relative term and an absolute floor with
+the one-standard-error width of the RSS statistic itself, so orders that
+only chase noise do not displace smaller ones. The scan stops early, and
+exactly, once the order chosen so far has RSS at or below the floor: the
+window can then only shrink towards the floor, so no later order can change
+the choice. Orders never fitted are reported as skipped.
 
 Everything is deterministic given (data, config including seed).
 """
@@ -177,21 +180,30 @@ class FitResult:
 
 @dataclass(frozen=True)
 class SelectedFit:
-    """Fits for M = 1..M_max with the tie-window choice.
+    """Order scan over M = 1..M_max with the tie-window choice.
 
     ``per_m`` maps each successfully fitted M to its FitResult (so
     ``per_m[chosen_m] is chosen``); M values whose every start failed appear
-    in ``failures`` instead.
+    in ``failures`` instead, and the orders the early exit never fitted in
+    ``skipped`` (ascending). The three are disjoint and together cover
+    1..M_max.
     """
 
     per_m: Mapping[int, FitResult]
     chosen_m: int
     chosen: FitResult
     failures: Mapping[int, str]
+    skipped: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.chosen_m not in self.per_m or self.per_m[self.chosen_m] is not self.chosen:
             raise DomainError("chosen must be the per_m entry at chosen_m")
+        orders = [*self.per_m, *self.failures, *self.skipped]
+        if sorted(orders) != list(range(1, len(orders) + 1)):
+            raise DomainError(
+                "per_m, failures and skipped must partition the orders 1..M_max, got "
+                f"{sorted(self.per_m)}, {sorted(self.failures)} and {list(self.skipped)}"
+            )
 
 
 def choose_origin(X, delta_frac: float) -> np.ndarray:
@@ -485,21 +497,49 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     raise FitFailure(f"all {cfg.n_starts} optimization starts failed for M={m}")
 
 
-def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> SelectedFit:
-    """Fit M = 1..M_max and choose the smallest M inside the RSS tie window.
+def _tie_window_choice(
+    rss_by_m: Mapping[int, float], floor: float, K: int, select_tol: float
+) -> int:
+    """Smallest order whose RSS lies inside the tie window of ``rss_by_m``.
 
     The window is RSS_M <= (1 + select_tol) * rss_min + floor + se, with
-    rss_min the best RSS over all orders, floor = 1e-8 * sum(y^2) (resolves
-    near-zero noiseless ties to the smallest M), and
+    rss_min the best RSS in the table and se = 0.75 * sqrt(2K) * rss_min / K.
+    The threshold never falls below ``floor`` and never rises when an entry
+    is added, which is what makes the early exit in :func:`select_model`
+    exact.
+    """
+    rss_min = min(rss_by_m.values())
+    one_se = _TIE_SE_MULT * math.sqrt(2.0 * K) * (rss_min / K)
+    threshold = (1.0 + select_tol) * rss_min + floor + one_se
+    return min(m for m, value in rss_by_m.items() if value <= threshold)
+
+
+def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> SelectedFit:
+    """Fit M = 1, 2, ... and choose the smallest M inside the RSS tie window.
+
+    The window is RSS_M <= (1 + select_tol) * rss_min + floor + se, with
+    rss_min the best RSS over the fitted orders, floor = 1e-8 * sum(y^2)
+    (resolves near-zero noiseless ties to the smallest M), and
     se = 0.75 * sqrt(2K) * rss_min / K, the one-standard-error width of the
     RSS statistic under the fitted noise level (RSS gaps below it carry no
     evidence for extra components). Pass an explicit ``x0`` to override the
     automatic origin rule.
+
+    The scan stops after order m once the order chosen from the fits of
+    1..m has RSS <= floor; the remaining orders are returned in ``skipped``.
+    The choice is the one a scan of all M_max orders would make: further
+    orders can only lower rss_min, so the threshold only falls, yet never
+    below the floor. The chosen order stays inside the window and every
+    smaller order stays outside it, whatever the later orders return. The
+    simpler rule "stop at the first M with RSS_M <= floor" is not exact:
+    with RSS_1 = 1.5*floor and RSS_2 = 0.5*floor the choice between them
+    still depends on the later orders.
     """
     if not isinstance(m_max, int) or m_max < 1:
         raise DomainError(f"M_max must be a positive integer, got {m_max}")
     if x0 is None:
         x0 = choose_origin(data.X, cfg.delta_frac)
+    floor = _TIE_FLOOR_REL * float(data.y @ data.y)
     per_m: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for m in range(1, m_max + 1):
@@ -507,21 +547,22 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
             per_m[m] = fit_fixed_m(data, m, cfg, x0)
         except FitFailure as exc:
             failures[m] = str(exc)
+            continue
+        rss_by_m = {k: result.rss for k, result in per_m.items()}
+        chosen_m = _tie_window_choice(rss_by_m, floor, data.K, cfg.select_tol)
+        if per_m[chosen_m].rss <= floor:
+            break
     if not per_m:
         raise FitFailure(
             f"no model order in 1..{m_max} produced a fit: "
             + "; ".join(f"M={m}: {msg}" for m, msg in failures.items())
         )
-    rss_min = min(result.rss for result in per_m.values())
-    floor = _TIE_FLOOR_REL * float(data.y @ data.y)
-    one_se = _TIE_SE_MULT * math.sqrt(2.0 * data.K) * (rss_min / data.K)
-    threshold = (1.0 + cfg.select_tol) * rss_min + floor + one_se
-    chosen_m = min(m for m, result in per_m.items() if result.rss <= threshold)
     return SelectedFit(
         per_m=per_m,
         chosen_m=chosen_m,
         chosen=per_m[chosen_m],
         failures=failures,
+        skipped=tuple(range(m + 1, m_max + 1)),
     )
 
 
@@ -539,9 +580,14 @@ def fit_result_to_dict(result: FitResult) -> dict:
 
 
 def selected_fit_to_dict(sel: SelectedFit) -> dict:
-    """Model document plus fit metadata (chosen M, RSS table, diagnostics)."""
+    """Model document plus fit metadata (chosen M, RSS table, diagnostics).
+
+    ``per_m_rss`` lists every order 1..M_max; a failed or skipped order
+    reads null and is named in ``failures`` or ``skipped``.
+    """
     from .model import model_to_dict
 
+    m_max = len(sel.per_m) + len(sel.failures) + len(sel.skipped)
     doc = model_to_dict(sel.chosen.model)
     doc["fit"] = {
         "chosen_m": sel.chosen_m,
@@ -549,7 +595,10 @@ def selected_fit_to_dict(sel: SelectedFit) -> dict:
         "sigma2": sel.chosen.sigma2,
         "n_starts_converged": sel.chosen.n_starts_converged,
         "best_start_index": sel.chosen.best_start_index,
-        "per_m_rss": {str(m): result.rss for m, result in sorted(sel.per_m.items())},
+        "per_m_rss": {
+            str(m): sel.per_m[m].rss if m in sel.per_m else None for m in range(1, m_max + 1)
+        },
         "failures": {str(m): msg for m, msg in sorted(sel.failures.items())},
+        "skipped": list(sel.skipped),
     }
     return doc

@@ -117,6 +117,9 @@ class TestFitCommand:
             doc = json.load(fh)
         assert doc["fit"]["chosen_m"] == 1
         assert set(doc["fit"]["per_m_rss"]) == {"1", "2"}
+        # RSS_1 is below the tie floor: M=2 is skipped, and listed as such
+        assert doc["fit"]["per_m_rss"]["2"] is None
+        assert doc["fit"]["skipped"] == [2]
         model = load_model(out)
         assert model.d == 1
 

@@ -286,10 +286,22 @@ class TestSelectModel:
         ) + 1e-6 * float(data.y @ data.y)
 
     def test_reports_all_orders(self):
+        # the order chosen from M=1..2 already sits below the tie floor, so
+        # the scan stops there and reports M=3 as skipped
         data = single_power_dataset(100)
         sel = select_model(data, 3, FitConfig(n_starts=2, max_iters=40, seed=0))
-        assert set(sel.per_m) == {1, 2, 3}
+        orders = [*sel.per_m, *sel.failures, *sel.skipped]
+        assert sorted(orders) == [1, 2, 3]
+        assert sel.skipped == (3,)
         assert sel.chosen is sel.per_m[sel.chosen_m]
+        assert sel.failures == {}
+
+    def test_noisy_data_fits_every_order(self):
+        fn = get_test_function("cubic")
+        data = make_dataset(fn, 80, 1.0, RngStream(5, 0))
+        sel = select_model(data, 3, FitConfig(n_starts=4, max_iters=40, seed=0))
+        assert sel.skipped == ()
+        assert set(sel.per_m) == {1, 2, 3}
         assert sel.failures == {}
 
     def test_deterministic(self):
@@ -316,6 +328,10 @@ class TestSelectModel:
         r2 = fit_fixed_m(data, 2, cfg, [0.0])
         with pytest.raises(DomainError):
             SelectedFit(per_m={1: r1, 2: r2}, chosen_m=1, chosen=r2, failures={})
+        with pytest.raises(DomainError, match="partition"):
+            SelectedFit(per_m={1: r1, 2: r2}, chosen_m=1, chosen=r1, failures={}, skipped=(2,))
+        with pytest.raises(DomainError, match="partition"):
+            SelectedFit(per_m={1: r1}, chosen_m=1, chosen=r1, failures={}, skipped=(3,))
 
 
 class TestSerializationHelpers:
@@ -335,3 +351,6 @@ class TestSerializationHelpers:
         json.dumps(doc)
         assert doc["fit"]["chosen_m"] == sel.chosen_m
         assert set(doc["fit"]["per_m_rss"]) == {"1", "2"}
+        for m in sel.skipped:
+            assert doc["fit"]["per_m_rss"][str(m)] is None
+        assert doc["fit"]["skipped"] == list(sel.skipped)
