@@ -41,6 +41,7 @@ from .metrics import GridSpec, integrated_sq_distance, l1_distance
 from .model import (
     GeneralIntensity,
     atomic_write_text,
+    csv_text,
     load_model,
     predict_original_units,
 )
@@ -170,16 +171,6 @@ def _load_model_file(path: str):
         raise DataError(f"model file {path}: {exc}") from None
 
 
-def _write_value_csv(path: str, points: np.ndarray, values: np.ndarray, value_name: str) -> None:
-    d = points.shape[1]
-    header = [f"x_{r + 1}" for r in range(d)] + [value_name]
-    lines = [",".join(header)]
-    for i in range(points.shape[0]):
-        row = [repr(float(v)) for v in points[i]] + [repr(float(values[i]))]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def _cmd_fit(args) -> int:
     rescale = _parse_vector(args.rescale, "--rescale") if args.rescale else None
     data = ingest(args.input, rescale)
@@ -216,7 +207,8 @@ def _cmd_predict(args) -> int:
     model = _load_model_file(args.model)
     points = _points_from_args(args, model.d)
     values = predict_original_units(model, points)
-    _write_value_csv(args.out, points, values, "value")
+    header = [f"x_{r + 1}" for r in range(model.d)] + ["value"]
+    atomic_write_text(args.out, csv_text(header, [*points.T, values]))
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotSampleableError, NumericRangeError
-from .model import ComponentParams, GeneralIntensity, _points, _stack_components
+from .model import ComponentParams, GeneralIntensity, _points, _stack_components, csv_text
 from .rng import RngStream
 
 __all__ = [
@@ -280,11 +280,5 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
 
 def envelope_to_csv(env: Envelope) -> str:
     """CSV text with columns x_1..x_d, lower, mean, upper; one row per point."""
-    d = env.grid.shape[1]
-    header = [f"x_{r + 1}" for r in range(d)] + ["lower", "mean", "upper"]
-    lines = [",".join(header)]
-    for i in range(env.grid.shape[0]):
-        row = [repr(float(v)) for v in env.grid[i]]
-        row += [repr(float(env.lower[i])), repr(float(env.mean[i])), repr(float(env.upper[i]))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = [f"x_{r + 1}" for r in range(env.grid.shape[1])] + ["lower", "mean", "upper"]
+    return csv_text(header, [*env.grid.T, env.lower, env.mean, env.upper])
