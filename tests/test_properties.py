@@ -1,26 +1,38 @@
-"""Property tests of the closed-form kernel: block layout, row errors, overflow."""
+"""Property tests: the closed-form kernel (block layout, row errors, overflow),
+the parameter transform, and the exactness of the order scan's early exit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import stochtaylor.fit as fit_mod
 from stochtaylor import (
     ComponentParams,
     Dataset,
     DomainError,
+    FitConfig,
+    FitFailure,
+    FitResult,
     GeneralIntensity,
     NumericRangeError,
     RngStream,
+    SteModel,
     centered_power_moment,
     evaluate,
+    from_taylor_polynomial,
     mc_values,
+    pack_params,
     power_moment,
     predict_grid,
     rss,
+    select_model,
+    unpack_params,
 )
+from stochtaylor.fit import SIGMA_FLOOR, _tie_window_choice
 from stochtaylor.model import (
     _BLOCK_ROWS,
     _LOG_MAX,
@@ -132,3 +144,145 @@ def test_kernel_raises_exactly_when_a_component_leaves_double_range(
     if not math.isfinite(expected):  # a moment alone overflows; the product does not
         expected = math.copysign(math.exp(log_mag), coeff)
     assert value == pytest.approx(expected, rel=1e-9, abs=1e-300)
+
+
+@st.composite
+def components_near_the_clamps(draw, d: int, mu_a: float) -> ComponentParams:
+    # sigmas at zero and around the floor, and correlation vectors on both
+    # sides of sum(rho^2) = 1, where pack_params clamps
+    sigmas = st.one_of(st.just(0.0), st.floats(0.0, 2.0 * SIGMA_FLOOR), st.floats(0.0, 3.0))
+    return ComponentParams(
+        mu_a=mu_a,
+        sigma_a=draw(sigmas),
+        mu_n=tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))),
+        sigma_n=tuple(draw(st.lists(sigmas, min_size=d, max_size=d))),
+        rho=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))),
+    )
+
+
+@examples(200)
+@given(d=st.integers(1, 3), data=st.data())
+def test_pack_unpack_round_trip_up_to_the_clamps(d, data):
+    # distinct mu_a fix the canonical component order on both sides
+    mu_a = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5, unique=True))
+    comps = tuple(data.draw(components_near_the_clamps(d, a)) for a in mu_a)
+    x0 = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)))
+    model = SteModel(d=d, components=comps, x0=x0, sigma2=0.0)
+    clone = unpack_params(pack_params(model), model.m, d, x0)
+    assert clone.x0 == model.x0
+    for got, want in zip(clone.components, model.components):
+        assert got.mu_a == want.mu_a
+        assert got.mu_n == want.mu_n
+        # a standard deviation at or below the floor comes back as the floor
+        for g, w in zip((got.sigma_a, *got.sigma_n), (want.sigma_a, *want.sigma_n)):
+            assert g == pytest.approx(max(w, SIGMA_FLOOR), rel=1e-12)
+        # a correlation vector with sum(rho^2) >= 1 comes back scaled just inside
+        rho = np.asarray(want.rho)
+        ssq = float(rho @ rho)
+        if ssq >= 1.0:
+            rho = rho * math.sqrt((1.0 - 1e-12) / ssq)
+        assert np.asarray(got.rho) == pytest.approx(rho, rel=0.0, abs=1e-9)
+
+
+@examples(100)
+@given(
+    coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=9),
+    x0=st.floats(-50.0, 50.0),
+    offsets=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=30),
+)
+def test_taylor_polynomial_model_matches_polyval(coeffs, x0, offsets):
+    model = from_taylor_polynomial(coeffs, x0)
+    delta = np.asarray(offsets)
+    points = x0 + delta
+    # offsets too small to survive the shift are not what this checks
+    assume(np.all(points > x0))
+    shifted = points - x0
+    want = np.polyval(coeffs[::-1], shifted)
+    got = predict_grid(model, points[:, None])
+    # error bound of summing the terms c_k * delta**k, whatever their order
+    scale = np.polyval(np.abs(coeffs[::-1]), shifted)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Order selection: the scan stops early, yet picks what a full scan picks.
+# ---------------------------------------------------------------------------
+
+_STUB_MODEL = from_taylor_polynomial((1.0,), 0.0)
+_FLOOR_FACTORS = (0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 10.0, 1e3)
+
+
+def _window_threshold(fitted, floor: float, K: int, select_tol: float) -> float:
+    rss_min = min(fitted)
+    one_se = fit_mod._TIE_SE_MULT * math.sqrt(2.0 * K) * (rss_min / K)
+    return (1.0 + select_tol) * rss_min + floor + one_se
+
+
+@st.composite
+def order_scans(draw):
+    """(K, select_tol, table) with table[m-1] = RSS_M, or None for a failed order.
+
+    The data behind a scan are K ones, so floor = 1e-8 * K. Entries sit on
+    both sides of the floor and of the threshold of the orders drawn so far,
+    repeat earlier entries exactly, or are missing.
+    """
+    K = draw(st.sampled_from((1, 7, 500)))
+    select_tol = draw(st.sampled_from((0.0, 1e-3, 0.5)))
+    floor = fit_mod._TIE_FLOOR_REL * K
+    table = []
+    for _ in range(draw(st.integers(1, 7), label="M_max")):
+        fitted = [v for v in table if v is not None]
+        options = [
+            st.none(),
+            st.sampled_from(_FLOOR_FACTORS).map(lambda f: f * floor),
+            st.floats(0.0, 4.0 * floor),
+        ]
+        if fitted:
+            threshold = _window_threshold(fitted, floor, K, select_tol)
+            options.append(st.sampled_from(fitted))
+            options.append(
+                st.sampled_from(
+                    (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, math.inf))
+                )
+            )
+        table.append(draw(st.one_of(options)))
+    return K, select_tol, table
+
+
+@examples(400)
+@given(scan=order_scans())
+# RSS_1 = 1.5*floor, RSS_2 = 0.5*floor: a third order decides between them
+@example(scan=(500, 1e-3, [7.5e-6, 2.5e-6, 0.0]))
+@example(scan=(500, 1e-3, [7.5e-6, 2.5e-6, 1e-5]))
+@example(scan=(500, 1e-3, [None, 5e-6, None, 0.0]))
+def test_early_exit_picks_what_the_full_scan_picks(scan):
+    K, select_tol, table = scan
+    data = Dataset(np.ones((K, 1)), np.ones(K))
+    floor = fit_mod._TIE_FLOOR_REL * K
+    results = {
+        m: FitResult(_STUB_MODEL, rss=v, sigma2=v / K, n_starts_converged=1, best_start_index=0)
+        for m, v in enumerate(table, start=1)
+        if v is not None
+    }
+    fitted = []
+
+    def fake_fit_fixed_m(data, m, cfg, x0):
+        fitted.append(m)
+        if m not in results:
+            raise FitFailure(f"all starts failed for M={m}")
+        return results[m]
+
+    cfg = FitConfig(select_tol=select_tol)
+    with mock.patch.object(fit_mod, "fit_fixed_m", fake_fit_fixed_m):
+        if not results:
+            with pytest.raises(FitFailure):
+                select_model(data, len(table), cfg, x0=[0.0])
+            return
+        sel = select_model(data, len(table), cfg, x0=[0.0])
+    full_scan = _tie_window_choice({m: r.rss for m, r in results.items()}, floor, K, select_tol)
+    assert sel.chosen_m == full_scan
+    assert fitted == list(range(1, len(fitted) + 1))
+    assert sel.skipped == tuple(range(len(fitted) + 1, len(table) + 1))
+    assert sel.per_m == {m: results[m] for m in fitted if m in results}
+    if sel.skipped:
+        assert sel.chosen.rss <= floor
