@@ -130,23 +130,14 @@ def is_sampleable(comp: ComponentParams) -> bool:
     return math.fsum(r * r for r in comp.rho) <= 1.0 + _PSD_TOL
 
 
-# Realizations whose events mc_values assembles in one pass.
-_DRAW_BLOCK = 256
-
-
 def _component_arrays(g: GeneralIntensity):
-    """(table, cum_w): one row of moments per component, cumulative weights.
-
-    A table row is mu_a, sigma_a, tail, mu_n (d), sigma_n (d), rho (d), so
-    one fancy index gathers every moment an event needs.
-    """
+    """Stacked per-component moment arrays for vectorized event assembly."""
     mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(g.components)
     # Residual scale of the coefficient after conditioning on the powers;
     # clamp tiny negatives allowed by the PSD slack.
     tail = np.sqrt(np.maximum(0.0, 1.0 - (rho**2).sum(axis=1)))
-    table = np.column_stack([mu_a, sigma_a, tail, mu_n, sigma_n, rho])
     cum_w = np.cumsum(np.asarray(g.weights, dtype=float))
-    return table, cum_w
+    return mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w
 
 
 def _require_sampleable(g: GeneralIntensity) -> None:
@@ -159,44 +150,21 @@ def _require_sampleable(g: GeneralIntensity) -> None:
             )
 
 
-def _draw_pattern(g, gen: np.random.Generator):
-    """One pattern's raw draws, in fixed order: count, components, normals.
-
-    Returns (u, z): one uniform per event (None for a single component)
-    and a (count, d+1) block of standard normals.
-    """
+def _draw_events(g, arrays, gen: np.random.Generator) -> np.ndarray:
+    """One pattern's event matrix; fixed draw order: count, components, normals."""
+    mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w = arrays
     v = int(gen.poisson(g.lam))
-    u = gen.random(v) if g.m > 1 else None
-    return u, gen.standard_normal((v, g.d + 1))
-
-
-def _assemble_events(g, arrays, u, z) -> np.ndarray:
-    """Event matrix (columns a, n_1..n_d) of the events drawn as ``u, z``.
-
-    Every step is per event, so the draws of many patterns can be
-    concatenated and assembled in one pass with the same values each
-    pattern would get on its own.
-    """
-    table, cum_w = arrays
-    d = g.d
-    if u is not None:
-        # Inverse-CDF component assignment; searchsorted never returns a
-        # negative index.
-        idx = np.searchsorted(cum_w, u, side="right")
-        np.minimum(idx, g.m - 1, out=idx)
-        rows = table[idx]
+    if g.m > 1:
+        # Inverse-CDF component assignment: one uniform per event.
+        idx = np.searchsorted(cum_w, gen.random(v), side="right")
+        np.clip(idx, 0, g.m - 1, out=idx)
     else:
-        rows = table  # the one component broadcasts over the events
-    events = np.empty(z.shape)
-    n = events[:, 1:]
-    np.multiply(rows[:, 3 + d : 3 + 2 * d], z[:, 1:], out=n)
-    n += rows[:, 3 : 3 + d]
-    resid = (rows[:, 3 + 2 * d :] * z[:, 1:]).sum(axis=1)
-    resid += rows[:, 2] * z[:, 0]
-    a = events[:, 0]
-    np.multiply(rows[:, 1], resid, out=a)
-    a += rows[:, 0]
-    return events
+        idx = np.zeros(v, dtype=np.intp)
+    z = gen.standard_normal((v, g.d + 1))
+    n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
+    resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
+    a = mu_a[idx] + sigma_a[idx] * resid
+    return np.column_stack([a, n]) if v else np.empty((0, g.d + 1))
 
 
 def sample_pattern(g: GeneralIntensity, rng: RngStream) -> PointPattern:
@@ -209,8 +177,8 @@ def sample_pattern(g: GeneralIntensity, rng: RngStream) -> PointPattern:
     not positive semidefinite. Deterministic per (seed, stream_id).
     """
     _require_sampleable(g)
-    u, z = _draw_pattern(g, rng.generator())
-    events = _assemble_events(g, _component_arrays(g), u, z)
+    arrays = _component_arrays(g)
+    events = _draw_events(g, arrays, rng.generator())
     return PointPattern(events=events, d=g.d)
 
 
@@ -253,30 +221,19 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     _require_sampleable(g)
     arrays = _component_arrays(g)
     values = np.empty((n_real, log_delta.shape[0]))
-    log_delta_t = log_delta.T
     # Each realization keeps its own exp-matmul rather than the model's mean
     # kernel, which costs more per call than a realization's whole draw. On
     # a 2-vCPU VM (2*10^4 realizations, 3 points, d=1, M=3) a realization
     # took 80-88 us as written, 180-185 us through the mean kernel (which
     # would put acceptance criterion 2 far over its 60 s limit), and 4-5 us
-    # more with an np.power form of this line. The events themselves are
-    # assembled a block of realizations at a time, since per pattern that
-    # step is a dozen numpy calls on a few rows each.
+    # more with an np.power form of this line.
     with np.errstate(over="ignore"):
-        for start in range(0, n_real, _DRAW_BLOCK):
-            stop = min(n_real, start + _DRAW_BLOCK)
-            us, zs = zip(*[_draw_pattern(g, rng.child(i).generator()) for i in range(start, stop)])
-            u = None if us[0] is None else np.concatenate(us)
-            events = _assemble_events(g, arrays, u, np.concatenate(zs))
-            begin = 0
-            for i, z in enumerate(zs, start):
-                end = begin + z.shape[0]
-                if end > begin:
-                    block = events[begin:end]
-                    values[i] = block[:, 0] @ np.exp(block[:, 1:] @ log_delta_t)
-                else:
-                    values[i] = 0.0
-                begin = end
+        for i in range(n_real):
+            events = _draw_events(g, arrays, rng.child(i).generator())
+            if events.shape[0]:
+                values[i] = events[:, 0] @ np.exp(events[:, 1:] @ log_delta.T)
+            else:
+                values[i] = 0.0
     if not np.isfinite(values).all():
         raise NumericRangeError(
             "a realization value exceeds the largest finite double; "

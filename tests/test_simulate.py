@@ -184,18 +184,6 @@ class TestMcValues:
                 want = ste_realization(pattern, (float(x),), g.x0)
                 assert values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("d, m", [(1, 1), (2, 3)])
-    def test_rows_do_not_depend_on_the_other_realizations(self, d, m):
-        # Events are assembled many realizations at a time; row i must still
-        # equal realization i drawn on its own, bit for bit, on both sides of
-        # an assembly block boundary.
-        g = random_intensity(43 + m, d, m)
-        grid = RngStream(44, 0).generator().uniform(0.5, 2.0, (3, d))
-        rng = RngStream(45, 7)
-        values = mc_values(g, grid, 600, rng)
-        for i in (0, 1, 255, 256, 257, 511, 512, 599):
-            assert np.array_equal(values[i], mc_values(g, grid, 1, rng.child(i))[0])
-
     def test_rejects_bad_inputs(self):
         g = random_intensity(42, 1, 2)
         with pytest.raises(DomainError):
