@@ -32,7 +32,7 @@ from stochtaylor import (
     select_model,
     unpack_params,
 )
-from stochtaylor.fit import SIGMA_FLOOR, _tie_window_choice
+from stochtaylor.fit import SIGMA_FLOOR
 from stochtaylor.model import (
     _BLOCK_ROWS,
     _LOG_MAX,
@@ -213,8 +213,9 @@ _FLOOR_FACTORS = (0.0, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 10.0, 1e3)
 
 
 def _window_threshold(fitted, floor: float, K: int, select_tol: float) -> float:
+    # The documented rule, re-derived here rather than taken from fit.py.
     rss_min = min(fitted)
-    one_se = fit_mod._TIE_SE_MULT * math.sqrt(2.0 * K) * (rss_min / K)
+    one_se = 0.75 * math.sqrt(2.0 * K) * (rss_min / K)
     return (1.0 + select_tol) * rss_min + floor + one_se
 
 
@@ -224,11 +225,13 @@ def order_scans(draw):
 
     The data behind a scan are K ones, so floor = 1e-8 * K. Entries sit on
     both sides of the floor and of the threshold of the orders drawn so far,
-    repeat earlier entries exactly, or are missing.
+    repeat earlier entries exactly, or are missing. Optionally one entry is
+    then moved onto (or next to) the threshold of all the other entries, the
+    edge of the final window, where `<=` and the se width decide the choice.
     """
     K = draw(st.sampled_from((1, 7, 500)))
     select_tol = draw(st.sampled_from((0.0, 1e-3, 0.5)))
-    floor = fit_mod._TIE_FLOOR_REL * K
+    floor = 1e-8 * K
     table = []
     for _ in range(draw(st.integers(1, 7), label="M_max")):
         fitted = [v for v in table if v is not None]
@@ -246,6 +249,16 @@ def order_scans(draw):
                 )
             )
         table.append(draw(st.one_of(options)))
+    fitted_at = [i for i, v in enumerate(table) if v is not None]
+    if len(fitted_at) >= 2 and draw(st.booleans(), label="on_final_edge"):
+        i = draw(st.sampled_from(fitted_at))
+        others = [table[j] for j in fitted_at if j != i]
+        threshold = _window_threshold(others, floor, K, select_tol)
+        table[i] = draw(
+            st.sampled_from(
+                (threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, math.inf))
+            )
+        )
     return K, select_tol, table
 
 
@@ -253,12 +266,14 @@ def order_scans(draw):
 @given(scan=order_scans())
 # RSS_1 = 1.5*floor, RSS_2 = 0.5*floor: a third order decides between them
 @example(scan=(500, 1e-3, [7.5e-6, 2.5e-6, 0.0]))
+# RSS_1 exactly on the edge of the window that RSS_2 sets
+@example(scan=(500, 1e-3, [_window_threshold([2.5e-5], 5e-6, 500, 1e-3), 2.5e-5]))
 @example(scan=(500, 1e-3, [7.5e-6, 2.5e-6, 1e-5]))
 @example(scan=(500, 1e-3, [None, 5e-6, None, 0.0]))
 def test_early_exit_picks_what_the_full_scan_picks(scan):
     K, select_tol, table = scan
     data = Dataset(np.ones((K, 1)), np.ones(K))
-    floor = fit_mod._TIE_FLOOR_REL * K
+    floor = 1e-8 * K
     results = {
         m: FitResult(_STUB_MODEL, rss=v, sigma2=v / K, n_starts_converged=1, best_start_index=0)
         for m, v in enumerate(table, start=1)
@@ -279,7 +294,10 @@ def test_early_exit_picks_what_the_full_scan_picks(scan):
                 select_model(data, len(table), cfg, x0=[0.0])
             return
         sel = select_model(data, len(table), cfg, x0=[0.0])
-    full_scan = _tie_window_choice({m: r.rss for m, r in results.items()}, floor, K, select_tol)
+    # Reference: the documented window rule applied to every order's RSS.
+    all_rss = [r.rss for r in results.values()]
+    threshold = _window_threshold(all_rss, floor, K, select_tol)
+    full_scan = min(m for m, r in results.items() if r.rss <= threshold)
     assert sel.chosen_m == full_scan
     assert fitted == list(range(1, len(fitted) + 1))
     assert sel.skipped == tuple(range(len(fitted) + 1, len(table) + 1))
