@@ -429,40 +429,29 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
+    """Spec from its JSON document; absent fields take the registry defaults.
+
+    ``"x0": null`` asks for the automatic origin rule, and a null
+    ``n_starts``, ``max_iters`` or ``grid_points`` for the package default.
+    """
     if not isinstance(doc, dict):
         raise DataError("experiment spec must be a JSON object")
+    scalars = (("K", int), ("sigma", float), ("m_max", int), ("n_seeds", int), ("seed", int))
     try:
-        function = doc["function"]
-    except KeyError:
-        raise DataError("experiment spec is missing the 'function' field") from None
-    fn = get_test_function(function)
-    kwargs = dict(
-        function=function,
-        K=int(doc.get("K", fn.k_values[-1])),
-        sigma=float(doc.get("sigma", fn.sigma)),
-        m_max=int(doc.get("m_max", fn.m_max)),
-        n_seeds=int(doc.get("n_seeds", _DEFAULT_N_SEEDS)),
-        seed=int(doc.get("seed", 0)),
-    )
-    fit_window = doc.get("fit_window")
-    kwargs["fit_lower"] = tuple(fit_window["lower"]) if fit_window else fn.fit_lower
-    kwargs["fit_upper"] = tuple(fit_window["upper"]) if fit_window else fn.fit_upper
-    eval_window = doc.get("eval_window")
-    kwargs["eval_lower"] = tuple(eval_window["lower"]) if eval_window else fn.eval_lower
-    kwargs["eval_upper"] = tuple(eval_window["upper"]) if eval_window else fn.eval_upper
-    if "x0" in doc:
-        kwargs["x0"] = None if doc["x0"] is None else tuple(doc["x0"])
-    else:
-        kwargs["x0"] = fn.x0
-    for name in ("n_starts", "max_iters"):
-        if doc.get(name) is not None:
-            kwargs[name] = int(doc[name])
-        else:
-            kwargs[name] = getattr(fn, name)
-    if doc.get("grid_points") is not None:
-        kwargs["grid_points"] = int(doc["grid_points"])
-    try:
-        return ExperimentSpec(**kwargs)
+        overrides = {name: convert(doc[name]) for name, convert in scalars if name in doc}
+        for name in ("n_starts", "max_iters", "grid_points"):
+            if doc.get(name) is not None:
+                overrides[name] = int(doc[name])
+        for part in ("fit", "eval"):
+            window = doc.get(f"{part}_window")
+            if window:
+                overrides[f"{part}_lower"] = tuple(window["lower"])
+                overrides[f"{part}_upper"] = tuple(window["upper"])
+        if "x0" in doc:
+            overrides["x0"] = None if doc["x0"] is None else tuple(doc["x0"])
+        return default_spec(doc["function"], **overrides)
+    except KeyError as exc:
+        raise DataError(f"experiment spec is missing the {exc.args[0]!r} field") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"invalid experiment spec: {exc}") from None
 

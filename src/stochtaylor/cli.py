@@ -36,7 +36,7 @@ from .errors import (
     NumericRangeError,
     StochTaylorError,
 )
-from .fit import Dataset, FitConfig, choose_origin, select_model, selected_fit_to_dict
+from .fit import Dataset, FitConfig, select_model, selected_fit_to_dict
 from .metrics import GridSpec, integrated_sq_distance, l1_distance
 from .model import (
     GeneralIntensity,
@@ -199,7 +199,7 @@ def _cmd_fit(args) -> int:
 def _points_from_args(args, d: int) -> np.ndarray:
     if args.grid is not None:
         return _parse_grid(args.grid, d).points()
-    header, matrix = _read_csv(args.points, min_columns=d)
+    _, matrix = _read_csv(args.points, min_columns=d)
     return matrix[:, :d]
 
 
@@ -358,13 +358,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 1
-    except DataError as exc:
-        _emit_error("data", str(exc))
-        return 2
-    except DomainError as exc:
-        _emit_error("data", str(exc))
-        return 2
-    except OSError as exc:
+    except (DataError, DomainError, OSError) as exc:
         _emit_error("data", str(exc))
         return 2
     except (NumericRangeError, FitFailure) as exc:

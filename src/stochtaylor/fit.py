@@ -24,6 +24,8 @@ Everything is deterministic given (data, config including seed).
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -93,6 +95,8 @@ _TIE_SE_MULT = 0.75
 # basin exploration.
 _JITTER_STEP = 0.25
 _JITTER_CAP = 1.0
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class UnderdeterminedWarning(UserWarning):
@@ -250,7 +254,9 @@ def sigma2_mle(rss_value: float, K: int) -> float:
 # Unconstrained parameterization.
 #
 # Component layout: [mu_a, s_a, mu_n (d), s_n (d), z (d)] with
-# sigma = SIGMA_FLOOR + exp(s) and rho = z / sqrt(1 + ||z||^2).
+# sigma = SIGMA_FLOOR + exp(s) and rho = z / sqrt(1 + ||z||^2). The flat
+# vector holds the components one after another; _split_params is the only
+# reader of the offsets, everything else goes through its views.
 # ---------------------------------------------------------------------------
 
 
@@ -259,15 +265,39 @@ def params_width(d: int) -> int:
     return 3 * d + 2
 
 
-def _split_params(v: np.ndarray, m: int, d: int):
-    V = v.reshape(m, params_width(d))
+def _split_params(V: np.ndarray, d: int):
+    """Views (mu_a, s_a, mu_n, s_n, z) on the last axis of a (..., 3d+2) array."""
     return (
-        V[:, 0],
-        V[:, 1],
-        V[:, 2 : 2 + d],
-        V[:, 2 + d : 2 + 2 * d],
-        V[:, 2 + 2 * d :],
+        V[..., 0],
+        V[..., 1],
+        V[..., 2 : 2 + d],
+        V[..., 2 + d : 2 + 2 * d],
+        V[..., 2 + 2 * d :],
     )
+
+
+def _param_vector(v, m: int, d: int) -> np.ndarray:
+    """v as a float vector, checked to hold M components of width 3d+2."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    expected = m * params_width(d)
+    if v.shape[0] != expected:
+        raise DomainError(
+            f"parameter vector has length {v.shape[0]}, expected {expected} "
+            f"for M={m}, d={d}"
+        )
+    return v
+
+
+def _log_offsets(data: Dataset, m: int, x0) -> tuple[np.ndarray, np.ndarray]:
+    """Checked origin and the log offsets log(X - x0) of an M-component fit."""
+    if not isinstance(m, int) or m < 1:
+        raise DomainError(f"M must be a positive integer, got {m}")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != data.d:
+        raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
+    if not np.isfinite(x0).all():
+        raise DomainError("x0 must be finite")
+    return x0, np.log(_points(data.X, x0) - x0)
 
 
 def _transform(s_a, s_n, z):
@@ -285,34 +315,24 @@ def pack_params(model: SteModel) -> np.ndarray:
     deviations at or below the 1e-8 floor and correlation vectors with
     sum(rho^2) >= 1 are clamped just inside the transform's range.
     """
-    d = model.d
-    out = np.empty((model.m, params_width(d)))
-    for i, comp in enumerate(model.components):
-        out[i, 0] = comp.mu_a
-        out[i, 1] = math.log(max(comp.sigma_a - SIGMA_FLOOR, 1e-300))
-        out[i, 2 : 2 + d] = comp.mu_n
-        out[i, 2 + d : 2 + 2 * d] = [
-            math.log(max(s - SIGMA_FLOOR, 1e-300)) for s in comp.sigma_n
-        ]
-        rho = np.asarray(comp.rho)
-        ssq = float((rho**2).sum())
-        if ssq >= 1.0:
-            rho = rho * math.sqrt((1.0 - 1e-12) / ssq)
-            ssq = 1.0 - 1e-12
-        out[i, 2 + 2 * d :] = rho / math.sqrt(1.0 - ssq)
+    mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(model.components)
+    out = np.empty((model.m, params_width(model.d)))
+    v_mu_a, v_s_a, v_mu_n, v_s_n, v_z = _split_params(out, model.d)
+    v_mu_a[...] = mu_a
+    v_s_a[...] = np.log(np.maximum(sigma_a - SIGMA_FLOOR, 1e-300))
+    v_mu_n[...] = mu_n
+    v_s_n[...] = np.log(np.maximum(sigma_n - SIGMA_FLOOR, 1e-300))
+    ssq = (rho**2).sum(axis=1, keepdims=True)
+    over = ssq >= 1.0
+    rho = rho * np.where(over, np.sqrt((1.0 - 1e-12) / np.maximum(ssq, 1.0)), 1.0)
+    v_z[...] = rho / np.sqrt(1.0 - np.where(over, 1.0 - 1e-12, ssq))
     return out.reshape(-1)
 
 
 def unpack_params(v, m: int, d: int, x0) -> SteModel:
     """Model from an unconstrained vector (components canonically re-sorted)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    expected = m * params_width(d)
-    if v.shape[0] != expected:
-        raise DomainError(
-            f"parameter vector has length {v.shape[0]}, expected {expected} "
-            f"for M={m}, d={d}"
-        )
-    mu_a, s_a, mu_n, s_n, z = _split_params(v, m, d)
+    v = _param_vector(v, m, d)
+    mu_a, s_a, mu_n, s_n, z = _split_params(v.reshape(m, -1), d)
     sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
     comps = tuple(
         ComponentParams(
@@ -329,7 +349,7 @@ def unpack_params(v, m: int, d: int, x0) -> SteModel:
 
 def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
     """Predictions of the transformed parameter vector at precomputed log offsets."""
-    mu_a, s_a, mu_n, s_n, z = _split_params(v, m, d)
+    mu_a, s_a, mu_n, s_n, z = _split_params(v.reshape(m, -1), d)
     sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
     corr, coeff_raw, exponent_sum = _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho)
     coeff_mask = np.abs(coeff_raw) < _COEFF_CLIP
@@ -344,57 +364,50 @@ def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarr
     """d(prediction)/d(parameter vector), shape (K, M*(3d+2)).
 
     Derivative paths through a clipped power factor or clipped coefficient
-    are zeroed (the prediction is locally constant along them).
+    are zeroed (the prediction is locally constant along them). Each block
+    is formed for all components at once with the operations, in the same
+    order, of the per-component loop that tests/test_properties.py keeps as
+    the reference, so the two agree bit for bit.
     """
     sigma_a, sigma_n, rho, z, corr, coeff, powers, power_mask, coeff_mask = aux
     K = log_delta.shape[0]
-    width = params_width(d)
-    J = np.empty((K, m * width))
-    log_sq = log_delta**2
-    for i in range(m):
-        base = i * width
-        P = powers[:, i]
-        P_via_coeff = P * coeff_mask[:, i]
-        CP_masked = coeff[:, i] * P * power_mask[:, i]
-        J[:, base] = P_via_coeff
-        J[:, base + 1] = corr[:, i] * P_via_coeff * (sigma_a[i] - SIGMA_FLOOR)
-        J[:, base + 2 : base + 2 + d] = CP_masked[:, None] * log_delta
-        via_coeff = (sigma_a[i] * rho[i])[None, :] * log_delta * P_via_coeff[:, None]
-        via_power = CP_masked[:, None] * (sigma_n[i][None, :] * log_sq)
-        J[:, base + 2 + d : base + 2 + 2 * d] = (via_coeff + via_power) * (
-            sigma_n[i] - SIGMA_FLOOR
-        )[None, :]
-        d_rho = (sigma_a[i] * sigma_n[i])[None, :] * log_delta * P_via_coeff[:, None]
-        zi = z[i]
-        s = math.sqrt(1.0 + float(zi @ zi))
-        J[:, base + 2 + 2 * d : base + width] = d_rho / s - np.outer(d_rho @ zi, zi) / s**3
-    return J
+    J = np.empty((K, m, params_width(d)))
+    j_mu_a, j_s_a, j_mu_n, j_s_n, j_z = _split_params(J, d)
+    # (K, M) factors of each term, broadcast over (K, M, d) blocks.
+    P_via_coeff = powers * coeff_mask
+    CP_masked = coeff * powers * power_mask
+    log_k = log_delta[:, None, :]
+    j_mu_a[...] = P_via_coeff
+    j_s_a[...] = corr * P_via_coeff * (sigma_a - SIGMA_FLOOR)
+    j_mu_n[...] = CP_masked[:, :, None] * log_k
+    via_coeff = (sigma_a[:, None] * rho) * log_k * P_via_coeff[:, :, None]
+    via_power = CP_masked[:, :, None] * (sigma_n * log_k**2)
+    j_s_n[...] = (via_coeff + via_power) * (sigma_n - SIGMA_FLOOR)
+    # rho = z / s with s = sqrt(1 + ||z||^2), in (M, K, d) layout so that
+    # d_rho @ z_i is one matrix-vector product per component. s**3 is
+    # Python's float power: NumPy's vectorised power can differ from it in
+    # the last bit.
+    z_col = z[:, :, None]
+    d_rho = (sigma_a[:, None] * sigma_n)[:, None, :] * log_delta * P_via_coeff.T[:, :, None]
+    s = np.sqrt(1.0 + np.matmul(z[:, None, :], z_col))
+    s_cubed = (s.astype(object) ** 3).astype(float)
+    d_z = d_rho / s - np.matmul(d_rho, z_col) * z[:, None, :] / s_cubed
+    j_z[...] = d_z.transpose(1, 0, 2)
+    return J.reshape(K, -1)
 
 
 def objective_value(v, m: int, data: Dataset, x0) -> float:
     """RSS of an unconstrained parameter vector (the optimizer's objective)."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    log_delta = np.log(_points(data.X, x0) - x0)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != m * params_width(data.d):
-        raise DomainError(
-            f"parameter vector has length {v.shape[0]}, expected {m * params_width(data.d)}"
-        )
-    pred, _ = _forward(v, m, data.d, log_delta)
+    _, log_delta = _log_offsets(data, m, x0)
+    pred, _ = _forward(_param_vector(v, m, data.d), m, data.d, log_delta)
     residual = pred - data.y
     return float(residual @ residual)
 
 
 def objective_gradient(v, m: int, data: Dataset, x0) -> np.ndarray:
     """Analytic gradient of :func:`objective_value` with respect to v."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    log_delta = np.log(_points(data.X, x0) - x0)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != m * params_width(data.d):
-        raise DomainError(
-            f"parameter vector has length {v.shape[0]}, expected {m * params_width(data.d)}"
-        )
-    pred, aux = _forward(v, m, data.d, log_delta)
+    _, log_delta = _log_offsets(data, m, x0)
+    pred, aux = _forward(_param_vector(v, m, data.d), m, data.d, log_delta)
     J = _prediction_jacobian(aux, m, data.d, log_delta)
     return 2.0 * (J.T @ (pred - data.y))
 
@@ -404,14 +417,22 @@ def _taylor_start(y: np.ndarray, m: int, d: int, log_delta: np.ndarray) -> np.nd
     powers = np.arange(m, dtype=float)
     basis = np.exp(np.minimum(np.outer(log_delta.sum(axis=1), powers), _EXP_CLIP))
     coeffs, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    width = params_width(d)
-    V = np.empty((m, width))
-    V[:, 0] = coeffs
-    V[:, 1] = math.log(0.5 - SIGMA_FLOOR)
-    V[:, 2 : 2 + d] = powers[:, None]
-    V[:, 2 + d : 2 + 2 * d] = math.log(0.1 - SIGMA_FLOOR)
-    V[:, 2 + 2 * d :] = 0.0
+    V = np.empty((m, params_width(d)))
+    mu_a, s_a, mu_n, s_n, z = _split_params(V, d)
+    mu_a[...] = coeffs
+    s_a[...] = math.log(0.5 - SIGMA_FLOOR)
+    mu_n[...] = powers[:, None]
+    s_n[...] = math.log(0.1 - SIGMA_FLOOR)
+    z[...] = 0.0
     return V.reshape(-1)
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` for a warning from the caller: the first frame outside the package."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
@@ -422,14 +443,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     smallest start index, so any parallel execution order gives the same
     result. K < M*(3d+2) triggers UnderdeterminedWarning but still fits.
     """
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"M must be a positive integer, got {m}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != data.d:
-        raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
-    if not np.isfinite(x0).all():
-        raise DomainError("x0 must be finite")
-    log_delta = np.log(_points(data.X, x0) - x0)
+    x0, log_delta = _log_offsets(data, m, x0)
     n_params = m * params_width(data.d)
     underdetermined = data.K < n_params
     if underdetermined:
@@ -437,7 +451,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
             f"K={data.K} observations for {n_params} free parameters at M={m}; "
             "the fit is underdetermined",
             UnderdeterminedWarning,
-            stacklevel=2,
+            stacklevel=_outside_stacklevel(),
         )
 
     y = data.y

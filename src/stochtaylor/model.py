@@ -537,6 +537,8 @@ def model_from_dict(doc: dict) -> SteModel:
         )
     except KeyError as exc:
         raise DomainError(f"model document is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid model document: {exc}") from None
 
 
 def model_to_json(model: SteModel) -> str:

@@ -436,3 +436,44 @@ class TestErrorContract:
         )
         assert code == 2
         assert json.loads(err)["error"] == "data"
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"K": "abc"}, {"fit_window": {"upper": [2.0]}}, {"x0": 5}],
+        ids=["K-not-a-number", "fit-window-without-lower", "x0-not-a-list"],
+    )
+    def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):
+        doc = {**spec_to_dict(default_spec("identity", K=25)), **change}
+        spec_path = os.path.join(tmp_path, "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp_path, "reports")
+        code, _, err = run_cli(capsys, "bench", "--spec", spec_path, "--out", out)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "data"
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"mu_n": 1.0}, {"components": 5}, {"d": "x"}],
+        ids=["mu_n-not-a-list", "components-not-a-list", "d-not-a-number"],
+    )
+    def test_malformed_model_is_data_error(self, capsys, tmp_path, toy_model_file, change):
+        model_path, _ = toy_model_file
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "mu_n" in change:
+            doc["components"][0].update(change)
+        else:
+            doc.update(change)
+        with open(model_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = os.path.join(tmp_path, "p.csv")
+        code, _, err = run_cli(
+            capsys, "predict", "--model", model_path, "--grid", "0.5:1:3", "--out", out
+        )
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "data"

@@ -143,12 +143,13 @@ class TestObjective:
         want = rss(unpack_params(v, 2, 1, (0.0,)), data)
         assert objective_value(v, 2, data, (0.0,)) == pytest.approx(want, rel=1e-12)
 
-    def test_gradient_matches_central_differences(self):
+    @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (3, 3), (2, 3)])
+    def test_gradient_matches_central_differences(self, m, d):
         gen = RngStream(62, 0).generator()
         x = np.linspace(0.4, 2.2, 40)
-        data = Dataset(x[:, None], np.sin(2 * x))
-        m, d = 2, 1
-        x0 = (0.0,)
+        X = np.stack([np.roll(x, 7 * r) for r in range(d)], axis=1)
+        data = Dataset(X, np.sin(2 * X.sum(axis=1)))
+        x0 = (0.0,) * d
         step = 1e-6
         for _ in range(5):
             v = gen.uniform(-1.0, 1.0, m * params_width(d))
@@ -162,6 +163,39 @@ class TestObjective:
                 )
                 scale = max(abs(fd), abs(grad[j]), 1e-8)
                 assert abs(grad[j] - fd) <= 1e-4 * scale
+
+    def test_clipped_paths_have_zero_jacobian_entries(self):
+        # Component 1 of 3 (d=2) is pushed past one clip at a time. Its
+        # columns along the clipped paths must be exactly 0 and the same
+        # columns of components 0 and 2 nonzero. Column layout per component:
+        # [mu_a, s_a, mu_n (d), s_n (d), z (d)].
+        m, d, K = 3, 2, 30
+        width = params_width(d)
+        gen = RngStream(63, 0).generator()
+        log_delta = np.log(gen.uniform(1.5, 3.0, (K, d)))
+        v = gen.uniform(-0.5, 0.5, m * width)
+        v_exp = v.copy()
+        v_exp[width + 2 : width + 2 + d] = 2.0 * fit_mod._EXP_CLIP
+        v_coeff = v.copy()
+        v_coeff[width] = 10.0 * fit_mod._COEFF_CLIP
+        # aux ends with (power_mask, coeff_mask), each (K, M).
+        for v_clip, mask, cols in ((v_exp, -2, [2, 3]), (v_coeff, -1, [0, 1, 6, 7])):
+            _, aux = fit_mod._forward(v_clip, m, d, log_delta)
+            assert not aux[mask][:, 1].any()
+            J = fit_mod._prediction_jacobian(aux, m, d, log_delta).reshape(K, m, width)
+            assert np.all(J[:, 1, cols] == 0.0)
+            assert np.all(J[:, [0, 2]][:, :, cols] != 0.0)
+
+    def test_rejects_bad_x0_and_parameter_length(self):
+        data = Dataset(np.linspace(0.5, 2.0, 10)[:, None], np.linspace(1.0, 2.0, 10))
+        v = np.zeros(params_width(1))
+        for objective in (objective_value, objective_gradient):
+            with pytest.raises(DomainError, match="x0"):
+                objective(v, 1, data, (0.0, 0.0))
+            with pytest.raises(DomainError, match="x0"):
+                objective(v, 1, data, (math.nan,))
+            with pytest.raises(DomainError, match="parameter vector"):
+                objective(np.zeros(7), 1, data, (0.0,))
 
 
 class TestDataset:
@@ -235,6 +269,17 @@ class TestFitFixedM:
             result = fit_fixed_m(data, 2, FitConfig(n_starts=2, max_iters=8, seed=0), [0.0])
         assert result.underdetermined
         assert math.isfinite(result.rss)
+
+    def test_underdetermined_warning_names_the_callers_line(self):
+        x = np.linspace(0.5, 2.0, 8)
+        data = Dataset(x[:, None], 2.0 + np.sin(3.0 * x))
+        cfg = FitConfig(n_starts=2, max_iters=8, seed=0)
+        with pytest.warns(UnderdeterminedWarning) as direct:
+            fit_fixed_m(data, 2, cfg, [0.0])
+        with pytest.warns(UnderdeterminedWarning) as nested:
+            select_model(data, 2, cfg, x0=[0.0])
+        for record in [*direct, *nested]:
+            assert record.filename == __file__
 
     def test_deterministic(self):
         data = single_power_dataset(100)

@@ -184,6 +184,62 @@ def test_pack_unpack_round_trip_up_to_the_clamps(d, data):
         assert np.asarray(got.rho) == pytest.approx(rho, rel=0.0, abs=1e-9)
 
 
+def loop_jacobian(aux, m, d, log_delta):
+    """Per-component loop form of ``fit._prediction_jacobian``: the reference
+    its vectorised form must match bit for bit."""
+    sigma_a, sigma_n, rho, z, corr, coeff, powers, power_mask, coeff_mask = aux
+    width = 3 * d + 2
+    J = np.empty((log_delta.shape[0], m * width))
+    for i in range(m):
+        base = i * width
+        P = powers[:, i]
+        P_via_coeff = P * coeff_mask[:, i]
+        CP_masked = coeff[:, i] * P * power_mask[:, i]
+        J[:, base] = P_via_coeff
+        J[:, base + 1] = corr[:, i] * P_via_coeff * (sigma_a[i] - SIGMA_FLOOR)
+        J[:, base + 2 : base + 2 + d] = CP_masked[:, None] * log_delta
+        via_coeff = (sigma_a[i] * rho[i])[None, :] * log_delta * P_via_coeff[:, None]
+        via_power = CP_masked[:, None] * (sigma_n[i][None, :] * log_delta**2)
+        J[:, base + 2 + d : base + 2 + 2 * d] = (via_coeff + via_power) * (
+            sigma_n[i] - SIGMA_FLOOR
+        )[None, :]
+        d_rho = (sigma_a[i] * sigma_n[i])[None, :] * log_delta * P_via_coeff[:, None]
+        s = math.sqrt(1.0 + float(z[i] @ z[i]))
+        J[:, base + 2 + 2 * d : base + width] = (
+            d_rho / s - np.outer(d_rho @ z[i], z[i]) / s**3
+        )
+    return J
+
+
+@examples(150)
+@given(
+    seed=seeds,
+    d=st.integers(1, 3),
+    m=st.integers(1, 8),
+    K=st.integers(1, 60),
+    region=st.sampled_from(["plain", "power clip", "coefficient clip", "large z and sigma"]),
+)
+def test_vectorised_jacobian_matches_the_component_loop(seed, d, m, K, region):
+    gen = RngStream(seed, 0).generator()
+    log_delta = gen.normal(0.0, 1.5, (K, d))
+    V = gen.normal(0.0, 1.5, (m, 3 * d + 2))
+    i = int(gen.integers(m))
+    if region == "power clip":
+        V[i, 2 : 2 + d] = gen.uniform(50.0, 400.0, d)
+    elif region == "coefficient clip":
+        V[i, 0] = gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(59.0, 80.0)
+    elif region == "large z and sigma":
+        V[:, 2 + 2 * d :] *= 30.0
+        V[i, 1] = gen.uniform(190.0, 210.0)
+    v = V.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, aux = fit_mod._forward(v, m, d, log_delta)
+        got = fit_mod._prediction_jacobian(aux, m, d, log_delta)
+        want = loop_jacobian(aux, m, d, log_delta)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 @examples(100)
 @given(
     coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=9),
