@@ -11,7 +11,6 @@ import numpy as np
 
 from stochtaylor import (
     ComponentParams,
-    GeneralIntensity,
     RngStream,
     SteModel,
     envelope,
@@ -31,11 +30,10 @@ model = SteModel(
     ),
     x0=(0.0,),
 )
-g = GeneralIntensity.from_model(model)
 
 print("== one realization of the point process ==")
-pattern = sample_pattern(g, RngStream(42, 0))
-print(f"event count v = {pattern.count} (Poisson with mean {g.lam:g})")
+pattern = sample_pattern(model, RngStream(42, 0))
+print(f"event count v = {pattern.count} (Poisson with mean {model.lam:g})")
 for j in range(pattern.count):
     print(f"  event {j}: a = {pattern.a[j]:+.4f}, n = {pattern.n[j][0]:+.4f}")
 
@@ -46,7 +44,7 @@ print(f"{'x':>5} {'closed form':>12} {'mc mean':>12} {'stderr':>10} {'|diff|/se'
 # comparisons get their own master seed.
 for i, x in enumerate((0.5, 1.0, 2.0, 3.5)):
     exact = evaluate(model, [x])
-    mean, stderr = mc_mean(g, [x], 100000, RngStream(100 + i, 0))
+    mean, stderr = mc_mean(model, [x], 100000, RngStream(100 + i, 0))
     print(
         f"{x:5.2f} {exact:12.6f} {mean:12.6f} {stderr:10.6f} "
         f"{abs(mean - exact) / stderr:10.2f}"
@@ -55,7 +53,7 @@ for i, x in enumerate((0.5, 1.0, 2.0, 3.5)):
 print()
 print("== envelope over a grid ==")
 grid = np.linspace(0.2, 4.0, 40)[:, None]
-env = envelope(g, grid, n_real=10000, alpha=0.05, rng=RngStream(42, 2))
+env = envelope(model, grid, n_real=10000, alpha=0.05, rng=RngStream(42, 2))
 coverage = np.mean((env.lower <= env.mean) & (env.mean <= env.upper))
 print(f"95% band over {grid.shape[0]} points; mean-curve inside band at {coverage:.0%} of them")
 with open("envelope.csv", "w", encoding="utf-8") as handle:

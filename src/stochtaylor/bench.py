@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError, DomainError, FitFailure, NumericRangeError
 from .fit import Dataset, FitConfig, select_model
 from .metrics import GridSpec, integrated_sq_distance, l1_distance, shift_window_above
-from .model import atomic_write_text, predict_grid
+from .model import _as_int, atomic_write_text, predict_grid
 from .rng import RngStream
 
 __all__ = [
@@ -253,7 +253,7 @@ class ExperimentSpec:
             raise DomainError(f"m_max must be a positive integer, got {self.m_max}")
         if not isinstance(self.n_seeds, int) or self.n_seeds < 1:
             raise DomainError(f"n_seeds must be a positive integer, got {self.n_seeds}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.x0 is not None:
             x0 = tuple(float(v) for v in self.x0)
             if len(x0) != fn.d:
@@ -270,7 +270,7 @@ def default_spec(function_id: str, K: int | None = None, **overrides) -> Experim
     fn = get_test_function(function_id)
     base = dict(
         function=fn.id,
-        K=int(K) if K is not None else fn.k_values[-1],
+        K=_as_int(K, "K") if K is not None else fn.k_values[-1],
         sigma=fn.sigma,
         m_max=fn.m_max,
         fit_lower=fn.fit_lower,
@@ -436,12 +436,14 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
     """
     if not isinstance(doc, dict):
         raise DataError("experiment spec must be a JSON object")
-    scalars = (("K", int), ("sigma", float), ("m_max", int), ("n_seeds", int), ("seed", int))
     try:
-        overrides = {name: convert(doc[name]) for name, convert in scalars if name in doc}
+        ints = ("K", "m_max", "n_seeds", "seed")
+        overrides = {name: _as_int(doc[name], name) for name in ints if name in doc}
+        if "sigma" in doc:
+            overrides["sigma"] = float(doc["sigma"])
         for name in ("n_starts", "max_iters", "grid_points"):
             if doc.get(name) is not None:
-                overrides[name] = int(doc[name])
+                overrides[name] = _as_int(doc[name], name)
         for part in ("fit", "eval"):
             window = doc.get(f"{part}_window")
             if window:

@@ -39,7 +39,6 @@ from .errors import (
 from .fit import Dataset, FitConfig, select_model, selected_fit_to_dict
 from .metrics import GridSpec, integrated_sq_distance, l1_distance
 from .model import (
-    GeneralIntensity,
     atomic_write_text,
     csv_text,
     load_model,
@@ -218,9 +217,8 @@ def _cmd_envelope(args) -> int:
     points = grid.points()
     scale_in = np.asarray(model.rescale[: model.d])
     scale_out = model.rescale[model.d]
-    g = GeneralIntensity.from_model(model)
     env = envelope(
-        g,
+        model,
         points / scale_in[None, :],
         args.n_real,
         args.alpha,
@@ -242,11 +240,10 @@ def _cmd_simulate(args) -> int:
     model = _load_model_file(args.model)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    g = GeneralIntensity.from_model(model)
     header = ["pattern", "event", "a"] + [f"n_{r + 1}" for r in range(model.d)]
     lines = [",".join(header)]
     for i in range(args.n):
-        pattern = sample_pattern(g, RngStream(args.seed, i))
+        pattern = sample_pattern(model, RngStream(args.seed, i))
         for j in range(pattern.count):
             row = [str(i), str(j), repr(float(pattern.a[j]))]
             row += [repr(float(v)) for v in pattern.n[j]]

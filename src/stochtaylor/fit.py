@@ -37,6 +37,7 @@ from .errors import DomainError, FitFailure, NumericRangeError
 from .model import (
     ComponentParams,
     SteModel,
+    _as_int,
     _mean_terms,
     _mean_values,
     _points,
@@ -167,7 +168,7 @@ class FitConfig:
             raise DomainError(f"delta_frac must be positive, got {self.delta_frac}")
         if self.select_tol < 0.0:
             raise DomainError(f"select_tol must be >= 0, got {self.select_tol}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ each component contributes
     (mu_a + sigma_a * sum_r rho_r sigma_n_r ln d_r)
         * prod_r d_r ** (mu_n_r + (sigma_n_r**2 / 2) * ln d_r)
 
-with d_r = x_r - x0_r > 0. :func:`evaluate` sums the components of an
-:class:`SteModel` (total rate M, uniform weights); :func:`evaluate_general`
-scales component m by ``lam * weights[m]`` instead. Every evaluation entry
-point, and ``fit.rss``, runs the one vectorised kernel :func:`_mean_values`;
-the optimizer's objective ``fit._forward`` shares its :func:`_mean_terms`.
+with d_r = x_r - x0_r > 0. :func:`evaluate_general` scales component m of a
+:class:`GeneralIntensity` by ``lam * weights[m]``; :func:`evaluate` sums the
+components of an :class:`SteModel`, the rate-M, uniform-weight intensity,
+unscaled. Every evaluation entry point, and ``fit.rss``, runs the one
+vectorised kernel :func:`_mean_values`; the optimizer's objective
+``fit._forward`` shares its :func:`_mean_terms`.
 
 Evaluation points are plain float sequences; the strict requirement
 x[r] > x0[r] is enforced at every call, and errors name the offending row.
@@ -40,7 +41,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +91,15 @@ def _as_finite_float(value, name: str) -> float:
     return out
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as an int: an integer (not a bool) or a float with an integral value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ComponentParams:
     """Moments of one mixture component.
@@ -136,44 +146,96 @@ class ComponentParams:
         return (self.mu_a,) + self.mu_n
 
 
-def _sorted_components(components, d: int) -> tuple[ComponentParams, ...]:
-    comps = tuple(components)
-    if not comps:
-        raise DomainError("at least one component is required")
-    for i, c in enumerate(comps):
-        if not isinstance(c, ComponentParams):
-            raise DomainError(f"component {i} is not a ComponentParams")
-        if c.d != d:
-            raise DomainError(f"component {i} has dimension {c.d}, expected {d}")
-    return tuple(sorted(comps, key=ComponentParams.sort_key))
-
-
 @dataclass(frozen=True)
-class SteModel:
-    """Fitted mixture model: unit-rate process with one event class per component.
+class GeneralIntensity:
+    """Mixture intensity with total rate ``lam`` and component weights.
 
-    Components are stored in canonical order (increasing ``mu_a``, ties by
-    lexicographic ``mu_n``), which fixes the summation order of
-    :func:`evaluate` and makes equal models compare equal. ``sigma2`` is the
-    residual variance attached by fitting. ``rescale`` holds the d+1 positive
-    divisors that map original data units to the units the model was fitted
-    in (inputs first, output last); it is bookkeeping for prediction and does
-    not affect :func:`evaluate`.
+    The expected event count is ``lam``; an event belongs to component m
+    with probability ``weights[m]``. Components keep the order given here
+    (weights are positional). This is the one place that checks ``d``, the
+    components, ``x0``, ``lam`` and ``weights``.
     """
 
-    d: int
+    lam: float
+    weights: tuple[float, ...]
     components: tuple[ComponentParams, ...]
+    d: int
     x0: tuple[float, ...]
-    sigma2: float = 0.0
-    rescale: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
-        object.__setattr__(self, "components", _sorted_components(self.components, self.d))
+        comps = tuple(self.components)
+        if not comps:
+            raise DomainError("at least one component is required")
+        for i, c in enumerate(comps):
+            if not isinstance(c, ComponentParams):
+                raise DomainError(f"component {i} is not a ComponentParams")
+            if c.d != self.d:
+                raise DomainError(f"component {i} has dimension {c.d}, expected {self.d}")
+        object.__setattr__(self, "components", comps)
         object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0"))
         if len(self.x0) != self.d:
             raise DomainError(f"x0 must have length d={self.d}, got {len(self.x0)}")
+        object.__setattr__(self, "lam", _as_finite_float(self.lam, "lam"))
+        if self.lam <= 0.0:
+            raise DomainError(f"lam must be > 0, got {self.lam}")
+        object.__setattr__(self, "weights", _as_float_tuple(self.weights, "weights"))
+        if len(self.weights) != len(comps):
+            raise DomainError(
+                f"need one weight per component, got {len(self.weights)} "
+                f"weights for {len(comps)} components"
+            )
+        if any(w < 0.0 for w in self.weights):
+            raise DomainError(f"weights must be >= 0, got {self.weights}")
+        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
+            raise DomainError(f"weights must sum to 1 within 1e-12, got sum {math.fsum(self.weights)}")
+
+    @classmethod
+    def from_model(cls, model: SteModel) -> "GeneralIntensity":
+        """Plain intensity with the rate, weights and components of a model.
+
+        ``evaluate_general`` on the result reproduces ``evaluate(model, .)``
+        bit for bit whenever ``M * (1.0 / M) == 1.0`` in floating point
+        (true for all M < 49 and most others).
+        """
+        return cls(model.lam, model.weights, model.components, model.d, model.x0)
+
+    @property
+    def m(self) -> int:
+        return len(self.components)
+
+
+@dataclass(frozen=True)
+class SteModel(GeneralIntensity):
+    """Fitted mixture model: the rate-M, uniform-weight intensity.
+
+    ``lam = M`` and ``weights = (1/M,) * M`` follow from the components and
+    are not constructor parameters, so the expected event count of each
+    component is one. Components are stored in canonical order (increasing
+    ``mu_a``, ties by lexicographic ``mu_n``), which fixes the summation
+    order of :func:`evaluate` and makes equal models compare equal.
+    ``sigma2`` is the residual variance attached by fitting. ``rescale``
+    holds the d+1 positive divisors that map original data units to the
+    units the model was fitted in (inputs first, output last); it is
+    bookkeeping for prediction and does not affect :func:`evaluate`.
+    """
+
+    lam: float = field(init=False)
+    weights: tuple[float, ...] = field(init=False)
+    sigma2: float = 0.0
+    rescale: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "components", tuple(self.components))
+        m = len(self.components)
+        object.__setattr__(self, "lam", float(m))
+        # A generator, so that a model without components meets the base
+        # check and not a division by zero.
+        object.__setattr__(self, "weights", tuple(1.0 / m for _ in range(m)))
+        super().__post_init__()
+        canonical = tuple(sorted(self.components, key=ComponentParams.sort_key))
+        object.__setattr__(self, "components", canonical)
         object.__setattr__(self, "sigma2", _as_finite_float(self.sigma2, "sigma2"))
         if self.sigma2 < 0.0:
             raise DomainError(f"sigma2 must be >= 0, got {self.sigma2}")
@@ -187,75 +249,6 @@ class SteModel:
             )
         if any(c <= 0.0 for c in self.rescale):
             raise DomainError(f"rescale factors must be positive, got {self.rescale}")
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class GeneralIntensity:
-    """Mixture intensity with total rate ``lam`` and component weights.
-
-    The expected event count is ``lam``; an event belongs to component m
-    with probability ``weights[m]``. Components keep the order given here
-    (weights are positional), so build from a model via :meth:`from_model`
-    when the canonical order matters.
-    """
-
-    lam: float
-    weights: tuple[float, ...]
-    components: tuple[ComponentParams, ...]
-    d: int
-    x0: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _as_finite_float(self.lam, "lam"))
-        if self.lam <= 0.0:
-            raise DomainError(f"lam must be > 0, got {self.lam}")
-        object.__setattr__(self, "weights", _as_float_tuple(self.weights, "weights"))
-        if not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"d must be a positive integer, got {self.d}")
-        comps = tuple(self.components)
-        if not comps:
-            raise DomainError("at least one component is required")
-        for i, c in enumerate(comps):
-            if not isinstance(c, ComponentParams) or c.d != self.d:
-                raise DomainError(f"component {i} must be ComponentParams of dimension {self.d}")
-        object.__setattr__(self, "components", comps)
-        if len(self.weights) != len(comps):
-            raise DomainError(
-                f"need one weight per component, got {len(self.weights)} "
-                f"weights for {len(comps)} components"
-            )
-        if any(w < 0.0 for w in self.weights):
-            raise DomainError(f"weights must be >= 0, got {self.weights}")
-        if abs(math.fsum(self.weights) - 1.0) > 1e-12:
-            raise DomainError(f"weights must sum to 1 within 1e-12, got sum {math.fsum(self.weights)}")
-        object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0"))
-        if len(self.x0) != self.d:
-            raise DomainError(f"x0 must have length d={self.d}, got {len(self.x0)}")
-
-    @classmethod
-    def from_model(cls, model: SteModel) -> "GeneralIntensity":
-        """Rate-M, uniform-weight intensity of a model.
-
-        ``evaluate_general`` on the result reproduces ``evaluate(model, .)``
-        bit for bit whenever ``M * (1.0 / M) == 1.0`` in floating point
-        (true for all M < 49 and most others).
-        """
-        m = model.m
-        return cls(
-            lam=float(m),
-            weights=(1.0 / m,) * m,
-            components=model.components,
-            d=model.d,
-            x0=model.x0,
-        )
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
 
 
 def power_moment(delta: float, mu: float, sigma: float) -> float:
@@ -529,7 +522,7 @@ def model_from_dict(doc: dict) -> SteModel:
             for c in doc["components"]
         )
         return SteModel(
-            d=int(doc["d"]),
+            d=_as_int(doc["d"], "d"),
             components=comps,
             x0=tuple(doc["x0"]),
             sigma2=float(doc["sigma2"]),

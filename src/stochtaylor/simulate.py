@@ -3,7 +3,9 @@
 A realization of the process under a :class:`~stochtaylor.model.GeneralIntensity`
 is a point pattern: ``v ~ Poisson(lam)`` events, each assigned to a mixture
 component by the weights and drawn from that component's (d+1)-variate normal
-over (a, n_1..n_d). The random sum ``sum_j a_j * prod_r (x_r-x0_r)**n_{r,j}``
+over (a, n_1..n_d). A fitted :class:`~stochtaylor.model.SteModel` is the
+rate-M, uniform-weight intensity and is passed to every function here as it
+is. The random sum ``sum_j a_j * prod_r (x_r-x0_r)**n_{r,j}``
 evaluated over many patterns gives Monte Carlo estimates of the closed-form
 mean (:func:`mc_mean`) and pointwise quantile envelopes (:func:`envelope`).
 

@@ -439,8 +439,22 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "change",
-        [{"K": "abc"}, {"fit_window": {"upper": [2.0]}}, {"x0": 5}],
-        ids=["K-not-a-number", "fit-window-without-lower", "x0-not-a-list"],
+        [
+            {"K": "abc"},
+            {"fit_window": {"upper": [2.0]}},
+            {"x0": 5},
+            {"K": 25.9},
+            {"m_max": True},
+            {"seed": 2.5},
+        ],
+        ids=[
+            "K-not-a-number",
+            "fit-window-without-lower",
+            "x0-not-a-list",
+            "K-not-integral",
+            "m_max-boolean",
+            "seed-not-integral",
+        ],
     )
     def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):
         doc = {**spec_to_dict(default_spec("identity", K=25)), **change}
@@ -456,8 +470,14 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "change",
-        [{"mu_n": 1.0}, {"components": 5}, {"d": "x"}],
-        ids=["mu_n-not-a-list", "components-not-a-list", "d-not-a-number"],
+        [{"mu_n": 1.0}, {"components": 5}, {"d": "x"}, {"d": True}, {"d": 1.5}],
+        ids=[
+            "mu_n-not-a-list",
+            "components-not-a-list",
+            "d-not-a-number",
+            "d-boolean",
+            "d-not-integral",
+        ],
     )
     def test_malformed_model_is_data_error(self, capsys, tmp_path, toy_model_file, change):
         model_path, _ = toy_model_file

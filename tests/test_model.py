@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ class TestSteModel:
         with pytest.raises(DomainError):
             SteModel(d=1, components=(comp,), x0=(0.0,), rescale=(0.0, 1.0))
 
+    def test_rejects_no_components(self):
+        with pytest.raises(DomainError, match="at least one component is required"):
+            SteModel(d=1, components=(), x0=(0.0,))
+
+    def test_is_the_rate_m_uniform_weight_intensity(self):
+        model = random_model(24, 2, 5)
+        assert isinstance(model, GeneralIntensity)
+        assert model.lam == 5.0
+        assert model.weights == (1.0 / 5,) * 5
+        refitted = replace(model, sigma2=2.5)
+        assert refitted.sigma2 == 2.5
+        assert (refitted.lam, refitted.weights) == (model.lam, model.weights)
+        with pytest.raises(TypeError):
+            SteModel(lam=2.0, d=model.d, components=model.components, x0=model.x0)
+
     def test_overflow_raises_numeric_range_error(self):
         comp = ComponentParams(1.0, 0.0, (1.0,), (20.0,), (0.0,))
         model = SteModel(d=1, components=(comp,), x0=(0.0,))
@@ -249,6 +265,7 @@ class TestGeneralIntensity:
         g = GeneralIntensity.from_model(model)
         for x in (0.7, 1.0, 2.9):
             assert evaluate_general(g, (x,)) == evaluate(model, (x,))
+            assert evaluate_general(model, (x,)) == evaluate(model, (x,))
 
     def test_unit_offset_scales_by_rate_times_weight(self):
         comp = ComponentParams(3.0, 0.8, (1.0,), (0.4,), (0.1,))

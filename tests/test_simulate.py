@@ -23,7 +23,7 @@ from stochtaylor import (
     ste_realization,
 )
 
-from conftest import random_intensity
+from conftest import random_intensity, random_model
 
 
 def degenerate_intensity(lam: float, mu_a: float = 1.0, mu_n: float = 1.0) -> GeneralIntensity:
@@ -217,6 +217,25 @@ class TestMcMean:
         g = degenerate_intensity(1.0)
         with pytest.raises(DomainError):
             mc_mean(g, (2.0,), 1, RngStream(0, 0))
+
+
+class TestModelAsIntensity:
+    def test_model_draws_match_its_general_intensity(self):
+        model = random_model(60, 2, 3)
+        g = GeneralIntensity.from_model(model)
+        grid = np.array([[1.2, 0.9], [1.7, 1.4]])
+        assert np.array_equal(
+            sample_pattern(model, RngStream(61, 0)).events,
+            sample_pattern(g, RngStream(61, 0)).events,
+        )
+        assert np.array_equal(
+            mc_values(model, grid, 200, RngStream(62, 0)),
+            mc_values(g, grid, 200, RngStream(62, 0)),
+        )
+        env_model = envelope(model, grid, 200, 0.1, RngStream(63, 0))
+        env_g = envelope(g, grid, 200, 0.1, RngStream(63, 0))
+        for name in ("lower", "mean", "upper"):
+            assert np.array_equal(getattr(env_model, name), getattr(env_g, name))
 
 
 class TestEnvelope:
