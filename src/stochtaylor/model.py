@@ -163,7 +163,7 @@ class GeneralIntensity:
     x0: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
         comps = tuple(self.components)
         if not comps:

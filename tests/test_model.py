@@ -241,6 +241,12 @@ class TestSteModel:
         with pytest.raises(DomainError, match="at least one component is required"):
             SteModel(d=1, components=(), x0=(0.0,))
 
+    def test_rejects_boolean_dimension(self):
+        # d=True would save as "d": true, which model_from_dict refuses.
+        comp = ComponentParams(1.0, 0.0, (1.0,), (0.0,), (0.0,))
+        with pytest.raises(DomainError, match="d must be a positive integer"):
+            SteModel(d=True, components=(comp,), x0=(0.0,))
+
     def test_is_the_rate_m_uniform_weight_intensity(self):
         model = random_model(24, 2, 5)
         assert isinstance(model, GeneralIntensity)
