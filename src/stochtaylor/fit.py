@@ -158,9 +158,15 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_starts, int) or self.n_starts < 1:
+        if (
+            isinstance(self.n_starts, bool) or not isinstance(self.n_starts, int)
+            or self.n_starts < 1
+        ):
             raise DomainError(f"n_starts must be a positive integer, got {self.n_starts}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        if (
+            isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int)
+            or self.max_iters < 1
+        ):
             raise DomainError(f"max_iters must be a positive integer, got {self.max_iters}")
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
@@ -246,7 +252,7 @@ def sigma2_mle(rss_value: float, K: int) -> float:
     rss_value = float(rss_value)
     if rss_value < 0.0:
         raise DomainError(f"rss must be >= 0, got {rss_value}")
-    if not isinstance(K, int) or K < 1:
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K}")
     return rss_value / K
 
@@ -291,7 +297,7 @@ def _param_vector(v, m: int, d: int) -> np.ndarray:
 
 def _log_offsets(data: Dataset, m: int, x0) -> tuple[np.ndarray, np.ndarray]:
     """Checked origin and the log offsets log(X - x0) of an M-component fit."""
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise DomainError(f"M must be a positive integer, got {m}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != data.d:
@@ -550,7 +556,7 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
     with RSS_1 = 1.5*floor and RSS_2 = 0.5*floor the choice between them
     still depends on the later orders.
     """
-    if not isinstance(m_max, int) or m_max < 1:
+    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
         raise DomainError(f"M_max must be a positive integer, got {m_max}")
     if x0 is None:
         x0 = choose_origin(data.X, cfg.delta_frac)

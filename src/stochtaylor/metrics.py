@@ -45,7 +45,10 @@ class GridSpec:
             raise DomainError("window bounds must be finite")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise DomainError(f"need lower < upper per coordinate, got {lower}, {upper}")
-        if not isinstance(self.points_per_dim, int) or self.points_per_dim < 2:
+        if (
+            isinstance(self.points_per_dim, bool) or not isinstance(self.points_per_dim, int)
+            or self.points_per_dim < 2
+        ):
             raise DomainError(
                 f"points_per_dim must be an integer >= 2, got {self.points_per_dim}"
             )

@@ -4,9 +4,9 @@ Every stochastic routine in the package takes an :class:`RngStream` rather
 than a bare seed. A stream is the pair (seed, stream_id): the same pair
 always reproduces the same draw sequence within one build, and distinct
 stream ids give statistically independent sequences off the same master
-seed. Parallel work (Monte Carlo realizations, optimizer multi-starts,
-benchmark seeds) assigns consecutive stream ids to its units of work, so
-any partitioning across workers yields an identical result set.
+seed. Work that can be split assigns consecutive stream ids to its units:
+a block of Monte Carlo realizations, an optimizer start, a benchmark seed.
+Any partition of the work along those units yields an identical result set.
 """
 
 from __future__ import annotations

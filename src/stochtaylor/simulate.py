@@ -9,8 +9,14 @@ is. The random sum ``sum_j a_j * prod_r (x_r-x0_r)**n_{r,j}``
 evaluated over many patterns gives Monte Carlo estimates of the closed-form
 mean (:func:`mc_mean`) and pointwise quantile envelopes (:func:`envelope`).
 
-Realization i of any batch uses stream ``rng.child(i)``, so partitioning a
-batch across workers reproduces the identical realization set.
+Realizations are drawn a block at a time. Block b of a batch holds
+realizations ``b*_BLOCK`` onward (``_BLOCK`` = 1024; the last block may be
+shorter) and draws from stream ``rng.child(b)``: all its Poisson counts
+first, then its events in realization order, in chunks of at most
+``_CHUNK`` events (component uniforms, then normals), so memory is bounded
+whatever the rate. A batch split on block boundaries, the part starting at
+block k drawn from ``rng.child(k)``, reproduces the identical realizations.
+:func:`sample_pattern` is a block of one realization.
 """
 
 from __future__ import annotations
@@ -40,6 +46,13 @@ __all__ = [
 # covariance is treated as positive semidefinite within this slack.
 _PSD_TOL = 1e-12
 
+# Realizations per stream in mc_values: block b draws from rng.child(b).
+_BLOCK = 1024
+# Most events drawn at once; bounds the draw arrays whatever lam is.
+_CHUNK = 1 << 14
+# Most elements (events x points) in one evaluation tile.
+_TILE = 1 << 16
+
 
 @dataclass(frozen=True)
 class PointPattern:
@@ -55,7 +68,7 @@ class PointPattern:
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.events, dtype=float)
-        if not isinstance(self.d, int) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
         if ev.ndim != 2 or ev.shape[1] != self.d + 1:
             raise DomainError(
@@ -110,7 +123,7 @@ class Envelope:
             arrays[name] = arr
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not isinstance(self.n_real, int) or self.n_real < 1:
+        if isinstance(self.n_real, bool) or not isinstance(self.n_real, int) or self.n_real < 1:
             raise DomainError(f"n_real must be a positive integer, got {self.n_real}")
         if np.any(arrays["lower"] > arrays["upper"]):
             raise DomainError("lower must not exceed upper anywhere")
@@ -152,21 +165,34 @@ def _require_sampleable(g: GeneralIntensity) -> None:
             )
 
 
-def _draw_events(g, arrays, gen: np.random.Generator) -> np.ndarray:
-    """One pattern's event matrix; fixed draw order: count, components, normals."""
+def _draw_block(g, arrays, gen: np.random.Generator, size: int):
+    """Poisson counts of ``size`` realizations and an iterator over their events.
+
+    Draw order: all ``size`` counts first; then the block's events in
+    realization order, in chunks of at most ``_CHUNK``, each chunk drawing
+    its component uniforms (when M > 1) and then its (chunk, d+1) normals.
+    The iterator draws lazily from ``gen``, so exhaust it before drawing
+    anything else. Yields ``(a, n)``: the chunk's coefficients and powers.
+    """
     mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w = arrays
-    v = int(gen.poisson(g.lam))
-    if g.m > 1:
-        # Inverse-CDF component assignment: one uniform per event.
-        idx = np.searchsorted(cum_w, gen.random(v), side="right")
-        np.clip(idx, 0, g.m - 1, out=idx)
-    else:
-        idx = np.zeros(v, dtype=np.intp)
-    z = gen.standard_normal((v, g.d + 1))
-    n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
-    resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
-    a = mu_a[idx] + sigma_a[idx] * resid
-    return np.column_stack([a, n]) if v else np.empty((0, g.d + 1))
+    counts = gen.poisson(g.lam, size)
+
+    def chunks():
+        total = int(counts.sum())
+        for start in range(0, total, _CHUNK):
+            v = min(_CHUNK, total - start)
+            if g.m > 1:
+                # Inverse-CDF component assignment: one uniform per event.
+                idx = np.searchsorted(cum_w, gen.random(v), side="right")
+                np.clip(idx, 0, g.m - 1, out=idx)
+            else:
+                idx = np.zeros(v, dtype=np.intp)
+            z = gen.standard_normal((v, g.d + 1))
+            n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
+            resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
+            yield mu_a[idx] + sigma_a[idx] * resid, n
+
+    return counts, chunks()
 
 
 def sample_pattern(g: GeneralIntensity, rng: RngStream) -> PointPattern:
@@ -176,11 +202,12 @@ def sample_pattern(g: GeneralIntensity, rng: RngStream) -> PointPattern:
     n_r ~ Normal(mu_n_r, sigma_n_r^2) independently, and its coefficient
     a ~ Normal(mu_a, sigma_a^2) with Corr(a, n_r) = rho_r. Raises
     NotSampleableError naming the offending component if any covariance is
-    not positive semidefinite. Deterministic per (seed, stream_id).
+    not positive semidefinite. Deterministic per (seed, stream_id): the
+    pattern is a block of one drawn from ``rng.generator()``.
     """
     _require_sampleable(g)
-    arrays = _component_arrays(g)
-    events = _draw_events(g, arrays, rng.generator())
+    _, chunks = _draw_block(g, _component_arrays(g), rng.generator(), 1)
+    events = np.vstack([np.empty((0, g.d + 1)), *map(np.column_stack, chunks)])
     return PointPattern(events=events, d=g.d)
 
 
@@ -210,32 +237,48 @@ def ste_realization(pattern: PointPattern, x, x0) -> float:
 def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndarray:
     """Random-sum values of n_real realizations at every grid point.
 
-    Returns an (n_real, n_points) matrix: row i is realization i (drawn from
-    stream ``rng.child(i)``) evaluated across the whole grid, so any
-    per-point statistic computed from one matrix shares its realizations
-    coherently. ``mc_mean`` and ``envelope`` are reductions of this matrix.
+    Returns an (n_real, n_points) matrix: row i is realization i evaluated
+    across the whole grid, so any per-point statistic computed from one
+    matrix shares its realizations coherently. ``mc_mean`` and ``envelope``
+    are reductions of this matrix.
+
+    Realizations come in blocks of ``_BLOCK``: rows ``b*_BLOCK`` onward are
+    one block drawn from stream ``rng.child(b)`` in the order of
+    ``_draw_block`` (the last block may be shorter). Splitting ``n_real`` on
+    block boundaries, with the later part drawn from ``rng.child(k)``,
+    reproduces the same matrix bit for bit. Rows with no events are 0.0.
     """
     log_delta = np.log(_points(grid, g.x0) - g.x0)
     if log_delta.shape[0] == 0:
         raise DomainError("grid must contain at least one point")
-    if not isinstance(n_real, int) or n_real < 1:
+    if isinstance(n_real, bool) or not isinstance(n_real, int) or n_real < 1:
         raise DomainError(f"n_real must be a positive integer, got {n_real}")
     _require_sampleable(g)
     arrays = _component_arrays(g)
-    values = np.empty((n_real, log_delta.shape[0]))
-    # Each realization keeps its own exp-matmul rather than the model's mean
-    # kernel, which costs more per call than a realization's whole draw. On
-    # a 2-vCPU VM (2*10^4 realizations, 3 points, d=1, M=3) a realization
-    # took 80-88 us as written, 180-185 us through the mean kernel (which
-    # would put acceptance criterion 2 far over its 60 s limit), and 4-5 us
-    # more with an np.power form of this line.
-    with np.errstate(over="ignore"):
-        for i in range(n_real):
-            events = _draw_events(g, arrays, rng.child(i).generator())
-            if events.shape[0]:
-                values[i] = events[:, 0] @ np.exp(events[:, 1:] @ log_delta.T)
-            else:
-                values[i] = 0.0
+    values = np.zeros((n_real, log_delta.shape[0]))
+    tile_rows = max(1, _TILE // log_delta.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, lo in enumerate(range(0, n_real, _BLOCK)):
+            block = values[lo : lo + _BLOCK]
+            counts, chunks = _draw_block(g, arrays, rng.child(b).generator(), block.shape[0])
+            # Nonempty rows and the block offset of their first event. Rows
+            # with no events own no event and keep their 0.0 (a reduceat
+            # over every row's offset would give them the next row's term).
+            rows = np.flatnonzero(counts)
+            first = (np.cumsum(counts) - counts)[rows]
+            start = 0
+            for a, n in chunks:
+                for t in range(0, a.shape[0], tile_rows):
+                    ta, tn = a[t : t + tile_rows], n[t : t + tile_rows]
+                    tile = ta[:, None] * np.exp(tn @ log_delta.T)
+                    # Rows owning the tile's events, and where each one's run
+                    # starts inside the tile (the first may begin before it).
+                    s = start + t
+                    i0 = int(np.searchsorted(first, s, side="right")) - 1
+                    i1 = int(np.searchsorted(first, s + ta.shape[0], side="left"))
+                    runs = np.maximum(first[i0:i1] - s, 0)
+                    block[rows[i0:i1]] += np.add.reduceat(tile, runs, axis=0)
+                start += a.shape[0]
     if not np.isfinite(values).all():
         raise NumericRangeError(
             "a realization value exceeds the largest finite double; "
@@ -251,7 +294,7 @@ def mc_mean(g: GeneralIntensity, x, n_real: int, rng: RngStream) -> tuple[float,
     by sqrt(n_real). This is the simulation cross-check of the closed-form
     mean: the two agree within a few stderr for any sampleable model.
     """
-    if not isinstance(n_real, int) or n_real < 2:
+    if isinstance(n_real, bool) or not isinstance(n_real, int) or n_real < 2:
         raise DomainError(f"n_real must be an integer >= 2, got {n_real}")
     grid = np.asarray([list(map(float, np.atleast_1d(x)))], dtype=float)
     values = mc_values(g, grid, n_real, rng)[:, 0]

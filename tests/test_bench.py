@@ -1,5 +1,6 @@
 """Test-function registry, synthetic datasets, experiment runs, reports."""
 
+import dataclasses
 import json
 import math
 import os
@@ -107,6 +108,10 @@ class TestMakeDataset:
         with pytest.raises(DomainError):
             make_dataset(fn, 10, -1.0, RngStream(0, 0))
 
+    def test_rejects_boolean_k(self):
+        with pytest.raises(DomainError):
+            make_dataset(get_test_function("identity"), True, 1.0, RngStream(0, 0))
+
 
 class TestExperimentSpec:
     def test_default_spec_pulls_registry_values(self):
@@ -136,6 +141,11 @@ class TestExperimentSpec:
             default_spec("identity", sigma=-0.1)
         with pytest.raises(DomainError):
             default_spec("identity", n_seeds=0)
+
+    @pytest.mark.parametrize("field", ["K", "m_max", "n_seeds"])
+    def test_rejects_boolean_counts(self, field):
+        with pytest.raises(DomainError):
+            dataclasses.replace(default_spec("identity"), **{field: True})
 
     def test_rejects_wrong_window_length(self):
         with pytest.raises(DomainError):

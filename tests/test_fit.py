@@ -86,6 +86,10 @@ class TestSigma2Mle:
     def test_plain_ratio(self):
         assert sigma2_mle(5.0, 10) == 0.5
 
+    def test_rejects_boolean_k(self):
+        with pytest.raises(DomainError):
+            sigma2_mle(5.0, True)
+
     def test_matches_fit_result_exactly(self):
         data = single_power_dataset(60)
         result = fit_fixed_m(data, 1, FitConfig(n_starts=4, max_iters=100, seed=0), [0.0])
@@ -237,6 +241,8 @@ class TestFitConfig:
         [
             {"n_starts": 0},
             {"max_iters": 0},
+            {"n_starts": True},
+            {"max_iters": True},
             {"rel_tol": 0.0},
             {"delta_frac": 0.0},
             {"select_tol": -1e-3},
@@ -308,8 +314,19 @@ class TestFitFixedM:
         with pytest.raises(DomainError):
             fit_fixed_m(data, 1, FitConfig(), [0.0, 0.0])
 
+    def test_rejects_boolean_m(self):
+        data = single_power_dataset(20)
+        with pytest.raises(DomainError):
+            fit_fixed_m(data, True, FitConfig(), [0.0])
+        with pytest.raises(DomainError):
+            objective_value(pack_params(random_model(3, 1, 1)), data, True, [0.0])
+
 
 class TestSelectModel:
+    def test_rejects_boolean_m_max(self):
+        with pytest.raises(DomainError):
+            select_model(single_power_dataset(20), True, FitConfig(), x0=[0.0])
+
     def test_identity_data_selects_one_component(self):
         fn = get_test_function("identity")
         data = make_dataset(fn, 200, 1e-5, RngStream(1, 0))

@@ -36,6 +36,11 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(lower=(0.0,), upper=(1.0,), points_per_dim=1)
 
+    def test_rejects_boolean_and_float_point_counts(self):
+        for points in (True, 5.0):
+            with pytest.raises(DomainError):
+                GridSpec(lower=(0.0,), upper=(1.0,), points_per_dim=points)
+
 
 class TestTrapezoidWeights:
     def test_weights_sum_to_window_volume(self):

@@ -1,5 +1,6 @@
 """Property tests: the closed-form kernel (block layout, row errors, overflow),
-the parameter transform, and the exactness of the order scan's early exit."""
+the parameter transform, Monte Carlo block partitions, and the exactness of
+the order scan's early exit."""
 
 import math
 from unittest import mock
@@ -39,6 +40,7 @@ from stochtaylor.model import (
     _mean_values,
     _stack_components,
 )
+from stochtaylor.simulate import _BLOCK as _MC_BLOCK
 
 from conftest import random_model
 
@@ -258,6 +260,37 @@ def test_taylor_polynomial_model_matches_polyval(coeffs, x0, offsets):
     # error bound of summing the terms c_k * delta**k, whatever their order
     scale = np.polyval(np.abs(coeffs[::-1]), shifted)
     assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: realizations are drawn a block per stream.
+# ---------------------------------------------------------------------------
+
+
+@examples(25)
+@given(
+    seed=seeds,
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+    lam=st.floats(0.1, 40.0),
+    blocks=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    tail=st.integers(1, _MC_BLOCK),
+)
+def test_mc_values_split_on_block_boundaries_is_bit_identical(seed, d, m, lam, blocks, tail):
+    # Pieces of whole blocks, then a last piece of any length; each piece
+    # draws from rng.child(first block of the piece). Up to 40 events per
+    # realization, so some blocks span several event chunks.
+    model = random_model(seed, d, m)
+    g = GeneralIntensity(
+        lam=lam, weights=model.weights, components=model.components, d=d, x0=model.x0
+    )
+    points = np.asarray(model.x0) + RngStream(seed, 1).generator().uniform(0.2, 2.0, (3, d))
+    rng = RngStream(seed, 2)
+    sizes = [k * _MC_BLOCK for k in blocks] + [tail]
+    starts = np.cumsum([0] + blocks)
+    whole = mc_values(g, points, sum(sizes), rng)
+    pieces = [mc_values(g, points, size, rng.child(int(b))) for size, b in zip(sizes, starts)]
+    assert np.array_equal(whole, np.vstack(pieces))
 
 
 # ---------------------------------------------------------------------------

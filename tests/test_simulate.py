@@ -1,10 +1,12 @@
 """Point-process sampling, realization sums, Monte Carlo means, envelopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import stochtaylor.simulate as simulate
 from stochtaylor import (
     ComponentParams,
     DomainError,
@@ -162,6 +164,10 @@ class TestSteRealization:
         with pytest.raises(DomainError):
             ste_realization(pattern, (4.0, 2.0), (0.0, 0.0, 0.0))
 
+    def test_pattern_rejects_boolean_dimension(self):
+        with pytest.raises(DomainError):
+            PointPattern(events=np.empty((0, 2)), d=True)
+
 
 class TestMcValues:
     def test_shape_and_determinism(self):
@@ -172,17 +178,85 @@ class TestMcValues:
         assert v1.shape == (50, 7)
         assert np.array_equal(v1, v2)
 
-    def test_rows_are_single_realizations(self):
-        # Row i must come from the i-th child stream, matching a direct
-        # sample_pattern + ste_realization round trip.
-        g = random_intensity(40, 1, 2)
-        grid = np.array([[0.8], [1.6]])
-        values = mc_values(g, grid, 5, RngStream(41, 0))
-        for i in range(5):
-            pattern = sample_pattern(g, RngStream(41, i))
-            for j, x in enumerate(grid[:, 0]):
-                want = ste_realization(pattern, (float(x),), g.x0)
-                assert values[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # Block, chunk and tile sizes: the shipped ones, and small ones that put
+    # block, chunk and tile boundaries inside a few hundred realizations.
+    SIZES = [None, (16, 7, 12), (5, 64, 30)]
+
+    @staticmethod
+    def with_sizes(monkeypatch, sizes):
+        if sizes is not None:
+            for name, value in zip(("_BLOCK", "_CHUNK", "_TILE"), sizes):
+                monkeypatch.setattr(simulate, name, value)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_rows_are_the_block_draws(self, monkeypatch, sizes):
+        # Row i is realization i of the block draw of stream rng.child(b),
+        # evaluated by the reference ste_realization.
+        self.with_sizes(monkeypatch, sizes)
+        g = random_intensity(40, 2, 3)
+        grid = np.array([[0.8, 1.3], [1.6, 0.7], [1.1, 2.2]])
+        n_real, rng = 300, RngStream(41, 0)
+        values = mc_values(g, grid, n_real, rng)
+        assert values.shape == (n_real, 3)
+        arrays = simulate._component_arrays(g)
+        for b, lo in enumerate(range(0, n_real, simulate._BLOCK)):
+            size = min(simulate._BLOCK, n_real - lo)
+            gen = rng.child(b).generator()
+            counts, chunks = simulate._draw_block(g, arrays, gen, size)
+            events = np.concatenate([np.column_stack([a, n]) for a, n in chunks])
+            ends = np.cumsum(counts)
+            for i in range(size):
+                pattern = PointPattern(events=events[ends[i] - counts[i] : ends[i]], d=2)
+                for j, x in enumerate(grid):
+                    want = ste_realization(pattern, x, g.x0)
+                    assert values[lo + i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_one_realization_is_sample_pattern(self):
+        for seed, d, m in ((42, 1, 1), (43, 2, 3), (44, 3, 2)):
+            g = random_intensity(seed, d, m)
+            grid = np.asarray(g.x0) + np.array([[0.7] * d, [1.9] * d])
+            rng = RngStream(seed, 5)
+            pattern = sample_pattern(g, rng)
+            values = mc_values(g, grid, 1, rng)
+            for j, x in enumerate(grid):
+                want = ste_realization(pattern, x, g.x0)
+                assert values[0, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_empty_rows_are_exactly_zero(self, monkeypatch, sizes):
+        # Every event of this intensity adds x (a = 1, n = 1; exactly 2.0 at
+        # x = 2), so a row is x times its Poisson count. The counts come
+        # first in each block's stream, and many are 0.
+        self.with_sizes(monkeypatch, sizes)
+        g = degenerate_intensity(0.8)
+        n_real, rng = 2_500, RngStream(45, 3)
+        values = mc_values(g, np.array([[2.0], [0.5]]), n_real, rng)
+        block = simulate._BLOCK
+        counts = np.concatenate(
+            [
+                rng.child(b).generator().poisson(0.8, min(block, n_real - lo))
+                for b, lo in enumerate(range(0, n_real, block))
+            ]
+        )
+        assert (counts == 0).sum() > 500
+        assert np.array_equal(values[:, 0], 2.0 * counts)
+        assert np.array_equal(values[counts == 0], np.zeros(((counts == 0).sum(), 2)))
+
+    def test_memory_is_bounded_at_large_rate(self):
+        # 4 realizations of about 2e6 events each: the draws and tiles are
+        # chunked, so the traced peak stays far below the 64 MB that a
+        # single event array of 8e6 doubles would take.
+        g = degenerate_intensity(2e6)
+        grid = np.array([[0.5], [1.5], [2.0]])
+        tracemalloc.start()
+        try:
+            values = mc_values(g, grid, 4, RngStream(46, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        counts = RngStream(46, 0).generator().poisson(2e6, 4)
+        assert values == pytest.approx(counts[:, None] * grid[:, 0], rel=1e-9)
 
     def test_rejects_bad_inputs(self):
         g = random_intensity(42, 1, 2)
@@ -192,6 +266,12 @@ class TestMcValues:
             mc_values(g, np.ones((3, 2)), 10, RngStream(0, 0))
         with pytest.raises(DomainError):
             mc_values(g, np.ones((3, 1)), 0, RngStream(0, 0))
+
+    def test_rejects_boolean_count(self):
+        g = random_intensity(42, 1, 2)
+        for n_real in (True, 2.0):
+            with pytest.raises(DomainError):
+                mc_values(g, np.ones((3, 1)), n_real, RngStream(0, 0))
 
 
 class TestMcMean:
@@ -217,6 +297,12 @@ class TestMcMean:
         g = degenerate_intensity(1.0)
         with pytest.raises(DomainError):
             mc_mean(g, (2.0,), 1, RngStream(0, 0))
+
+    def test_rejects_boolean_and_float_counts(self):
+        g = degenerate_intensity(1.0)
+        for n_real in (True, 2.0):
+            with pytest.raises(DomainError):
+                mc_mean(g, (2.0,), n_real, RngStream(0, 0))
 
 
 class TestModelAsIntensity:
@@ -309,6 +395,13 @@ class TestEnvelope:
             envelope(g, self.grid(), 100, 0.0, RngStream(0, 0))
         with pytest.raises(DomainError):
             envelope(g, self.grid(), 100, 1.0, RngStream(0, 0))
+
+    def test_envelope_type_rejects_boolean_count(self):
+        one = np.array([1.0])
+        with pytest.raises(DomainError):
+            Envelope(
+                grid=np.array([[1.0]]), lower=one, upper=one, mean=one, alpha=0.05, n_real=True
+            )
 
     def test_envelope_type_validates_band(self):
         grid = np.array([[1.0]])
