@@ -244,15 +244,12 @@ class ExperimentSpec:
         )
         if not inside:
             raise DomainError("evaluation window must contain the fit window")
-        if isinstance(self.K, bool) or not isinstance(self.K, int) or self.K < 1:
-            raise DomainError(f"K must be a positive integer, got {self.K}")
+        object.__setattr__(self, "K", _as_int(self.K, "K", 1))
         if not (float(self.sigma) >= 0.0):
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
-        if isinstance(self.m_max, bool) or not isinstance(self.m_max, int) or self.m_max < 1:
-            raise DomainError(f"m_max must be a positive integer, got {self.m_max}")
-        if isinstance(self.n_seeds, bool) or not isinstance(self.n_seeds, int) or self.n_seeds < 1:
-            raise DomainError(f"n_seeds must be a positive integer, got {self.n_seeds}")
+        object.__setattr__(self, "m_max", _as_int(self.m_max, "m_max", 1))
+        object.__setattr__(self, "n_seeds", _as_int(self.n_seeds, "n_seeds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.x0 is not None:
             x0 = tuple(float(v) for v in self.x0)
@@ -292,8 +289,7 @@ def make_dataset(fn: TestFunction, K: int, sigma: float, rng: RngStream) -> Data
     stays strictly above an origin placed at the window's lower corner;
     noise is N(0, sigma^2), drawn after sorting. Bit-identical per stream.
     """
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K}")
+    K = _as_int(K, "K", 1)
     if not (float(sigma) >= 0.0):
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     gen = rng.generator()

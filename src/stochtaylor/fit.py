@@ -38,7 +38,6 @@ from .model import (
     ComponentParams,
     SteModel,
     _as_int,
-    _mean_terms,
     _mean_values,
     _points,
     _stack_components,
@@ -158,16 +157,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.n_starts, bool) or not isinstance(self.n_starts, int)
-            or self.n_starts < 1
-        ):
-            raise DomainError(f"n_starts must be a positive integer, got {self.n_starts}")
-        if (
-            isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int)
-            or self.max_iters < 1
-        ):
-            raise DomainError(f"max_iters must be a positive integer, got {self.max_iters}")
+        object.__setattr__(self, "n_starts", _as_int(self.n_starts, "n_starts", 1))
+        object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1))
         if not (self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if not (self.delta_frac > 0.0):
@@ -252,9 +243,7 @@ def sigma2_mle(rss_value: float, K: int) -> float:
     rss_value = float(rss_value)
     if rss_value < 0.0:
         raise DomainError(f"rss must be >= 0, got {rss_value}")
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K}")
-    return rss_value / K
+    return rss_value / _as_int(K, "K", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +284,15 @@ def _param_vector(v, m: int, d: int) -> np.ndarray:
     return v
 
 
-def _log_offsets(data: Dataset, m: int, x0) -> tuple[np.ndarray, np.ndarray]:
-    """Checked origin and the log offsets log(X - x0) of an M-component fit."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise DomainError(f"M must be a positive integer, got {m}")
+def _log_offsets(data: Dataset, m: int, x0) -> tuple[int, np.ndarray, np.ndarray]:
+    """Checked M and origin, and the log offsets log(X - x0) of an M-component fit."""
+    m = _as_int(m, "M", 1)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != data.d:
         raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
     if not np.isfinite(x0).all():
         raise DomainError("x0 must be finite")
-    return x0, np.log(_points(data.X, x0) - x0)
+    return m, x0, np.log(_points(data.X, x0) - x0)
 
 
 def _transform(s_a, s_n, z):
@@ -358,7 +346,9 @@ def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
     """Predictions of the transformed parameter vector at precomputed log offsets."""
     mu_a, s_a, mu_n, s_n, z = _split_params(v.reshape(m, -1), d)
     sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
-    corr, coeff_raw, exponent_sum = _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho)
+    corr = log_delta @ (rho * sigma_n).T
+    coeff_raw = mu_a[None, :] + sigma_a[None, :] * corr
+    exponent_sum = log_delta @ mu_n.T + 0.5 * (log_delta**2) @ (sigma_n**2).T
     coeff_mask = np.abs(coeff_raw) < _COEFF_CLIP
     coeff = np.clip(coeff_raw, -_COEFF_CLIP, _COEFF_CLIP)
     power_mask = exponent_sum <= _EXP_CLIP
@@ -405,7 +395,7 @@ def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarr
 
 def objective_value(v, m: int, data: Dataset, x0) -> float:
     """RSS of an unconstrained parameter vector (the optimizer's objective)."""
-    _, log_delta = _log_offsets(data, m, x0)
+    m, _, log_delta = _log_offsets(data, m, x0)
     pred, _ = _forward(_param_vector(v, m, data.d), m, data.d, log_delta)
     residual = pred - data.y
     return float(residual @ residual)
@@ -413,7 +403,7 @@ def objective_value(v, m: int, data: Dataset, x0) -> float:
 
 def objective_gradient(v, m: int, data: Dataset, x0) -> np.ndarray:
     """Analytic gradient of :func:`objective_value` with respect to v."""
-    _, log_delta = _log_offsets(data, m, x0)
+    m, _, log_delta = _log_offsets(data, m, x0)
     pred, aux = _forward(_param_vector(v, m, data.d), m, data.d, log_delta)
     J = _prediction_jacobian(aux, m, data.d, log_delta)
     return 2.0 * (J.T @ (pred - data.y))
@@ -450,7 +440,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     smallest start index, so any parallel execution order gives the same
     result. K < M*(3d+2) triggers UnderdeterminedWarning but still fits.
     """
-    x0, log_delta = _log_offsets(data, m, x0)
+    m, x0, log_delta = _log_offsets(data, m, x0)
     n_params = m * params_width(data.d)
     underdetermined = data.K < n_params
     if underdetermined:
@@ -556,8 +546,7 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
     with RSS_1 = 1.5*floor and RSS_2 = 0.5*floor the choice between them
     still depends on the later orders.
     """
-    if isinstance(m_max, bool) or not isinstance(m_max, int) or m_max < 1:
-        raise DomainError(f"M_max must be a positive integer, got {m_max}")
+    m_max = _as_int(m_max, "M_max", 1)
     if x0 is None:
         x0 = choose_origin(data.X, cfg.delta_frac)
     floor = _TIE_FLOOR_REL * float(data.y @ data.y)

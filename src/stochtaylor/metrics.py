@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .model import _as_int
 
 __all__ = [
     "GridSpec",
@@ -45,13 +46,8 @@ class GridSpec:
             raise DomainError("window bounds must be finite")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise DomainError(f"need lower < upper per coordinate, got {lower}, {upper}")
-        if (
-            isinstance(self.points_per_dim, bool) or not isinstance(self.points_per_dim, int)
-            or self.points_per_dim < 2
-        ):
-            raise DomainError(
-                f"points_per_dim must be an integer >= 2, got {self.points_per_dim}"
-            )
+        points_per_dim = _as_int(self.points_per_dim, "points_per_dim", 2)
+        object.__setattr__(self, "points_per_dim", points_per_dim)
 
     @property
     def d(self) -> int:

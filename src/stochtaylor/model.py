@@ -15,8 +15,11 @@ with d_r = x_r - x0_r > 0. :func:`evaluate_general` scales component m of a
 :class:`GeneralIntensity` by ``lam * weights[m]``; :func:`evaluate` sums the
 components of an :class:`SteModel`, the rate-M, uniform-weight intensity,
 unscaled. Every evaluation entry point, and ``fit.rss``, runs the one
-vectorised kernel :func:`_mean_values`; the optimizer's objective
-``fit._forward`` shares its :func:`_mean_terms`.
+vectorised kernel :func:`_mean_values`, whose value at a point does not
+depend on the other points of the call. The optimizer's objective
+``fit._forward`` computes the same mean with its own code: it contracts over
+d with matrix products, which are several times faster on its fixed
+(K, d) blocks than elementwise sums, and a fit needs no row-independence.
 
 Evaluation points are plain float sequences; the strict requirement
 x[r] > x0[r] is enforced at every call, and errors name the offending row.
@@ -53,7 +56,6 @@ __all__ = [
     "GeneralIntensity",
     "power_moment",
     "centered_power_moment",
-    "eval_component",
     "evaluate",
     "evaluate_general",
     "from_taylor_polynomial",
@@ -91,13 +93,18 @@ def _as_finite_float(value, name: str) -> float:
     return out
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as an int: an integer (not a bool) or a float with an integral value."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+def _as_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int: an integer (not a bool) or a float with an integral value.
+
+    With ``minimum``, a value below it is refused as well.
+    """
+    integral = (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    ) or (isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if integral and (minimum is None or value >= minimum):
         return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+    kind = {None: "an integer", 1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+    raise DomainError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +170,7 @@ class GeneralIntensity:
     x0: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", _as_int(self.d, "d", 1))
         comps = tuple(self.components)
         if not comps:
             raise DomainError("at least one component is required")
@@ -290,10 +296,8 @@ def centered_power_moment(delta: float, mu: float, sigma: float) -> float:
     return out
 
 
-# Rows per block of the evaluation kernel. Every block is padded to this
-# many rows before its matrix products, so BLAS always sees one shape: its
-# results for a row otherwise depend on how many rows share the call (for
-# d >= 2), and a point would not get the same value alone as in a grid.
+# Rows per block of the evaluation kernel. It only bounds the memory of the
+# kernel's (rows, M) temporaries: no value depends on it.
 _BLOCK_ROWS = 512
 
 
@@ -337,57 +341,48 @@ def _stack_components(components) -> tuple[np.ndarray, ...]:
     )
 
 
-def _mean_terms(log_delta, mu_a, sigma_a, mu_n, sigma_n, rho):
-    """(corr, coeff, log_power), each (N, M), at log offsets ``log_delta`` (N, d).
-
-    corr = sum_r rho_r sigma_n_r ln d_r, coeff = mu_a + sigma_a * corr and
-    log_power = sum_r (mu_n_r + sigma_n_r**2 / 2 * ln d_r) ln d_r, the log of
-    the power factor.
-    """
-    corr = log_delta @ (rho * sigma_n).T
-    coeff = mu_a[None, :] + sigma_a[None, :] * corr
-    log_power = log_delta @ mu_n.T + 0.5 * (log_delta**2) @ (sigma_n**2).T
-    return corr, coeff, log_power
-
-
 def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
     """Closed-form mean at each of ``points``, checked by :func:`_points`.
 
-    See the module docstring for the formula. ``arrays`` are the stacked components (:func:`_stack_components`); the
-    optional ``scale`` multiplies component m's term (``lam * w_m``). Terms
-    are summed in component order. The power factor is formed per
-    coordinate with ``np.power`` so that exact cases stay exact; a term that
-    is not finite is recomputed from log|coeff| + log_power, and raises
-    NumericRangeError if that exceeds the largest finite double. Offsets and
-    their logs are formed one block at a time, so no grid-sized copy is made.
+    See the module docstring for the formula. ``arrays`` are the stacked
+    components (:func:`_stack_components`); the optional ``scale``
+    multiplies component m's term (``lam * w_m``). Terms are summed in
+    component order. Every operation is elementwise along the points, so a
+    point's value is the same, bit for bit, alone or inside any grid.
+
+    The power factor is formed per coordinate with ``np.power`` so that
+    exact cases stay exact; a term that is not finite is recomputed from
+    log|coeff| + log_power, and raises NumericRangeError if that exceeds
+    the largest finite double. Offsets and their logs are formed one block
+    at a time, so no grid-sized copy is made.
     """
     pts = _points(points, x0)
-    n, d = pts.shape
-    mu_n, half_var = arrays[2], 0.5 * arrays[3] ** 2
-    delta = np.empty((_BLOCK_ROWS, d))
-    block = np.zeros((_BLOCK_ROWS, d))
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - start)
-        np.subtract(pts[start : start + rows], x0, out=delta[:rows])
-        np.log(delta[:rows], out=block[:rows])
-        block[rows:] = 0.0
-        _, coeff, log_power = _mean_terms(block, *arrays)
-        coeff, log_power = coeff[:rows], log_power[:rows]
+    mu_a, sigma_a, mu_n, sigma_n, rho = arrays
+    rho_sigma, half_var = rho * sigma_n, 0.5 * sigma_n**2
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], _BLOCK_ROWS):
+        delta = pts[start : start + _BLOCK_ROWS] - x0
+        log_delta = np.log(delta)
         with np.errstate(over="ignore", invalid="ignore"):
-            power = 1.0
-            for r in range(d):
-                exponent = mu_n[:, r] + half_var[:, r] * block[:rows, r, None]
-                power = power * np.power(delta[:rows, r, None], exponent)
+            corr, power = 0.0, 1.0
+            for r in range(delta.shape[1]):
+                log_r = log_delta[:, r, None]
+                corr = corr + rho_sigma[:, r] * log_r
+                power = power * np.power(delta[:, r, None], mu_n[:, r] + half_var[:, r] * log_r)
+            coeff = mu_a + sigma_a * corr
             terms = coeff * power
         bad = ~np.isfinite(terms)
         if bad.any():
-            c = coeff[bad]
+            rows, comps = np.nonzero(bad)
+            c, log_b = coeff[bad], log_delta[rows]
+            log_power = (log_b * mu_n[comps]).sum(axis=1) + 0.5 * (
+                log_b**2 * sigma_n[comps] ** 2
+            ).sum(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_mag = np.where(c == 0.0, -np.inf, np.log(np.abs(c)) + log_power[bad])
+                log_mag = np.where(c == 0.0, -np.inf, np.log(np.abs(c)) + log_power)
             too_big = ~(log_mag <= _LOG_MAX)  # catches +inf and nan
             if too_big.any():
-                k = start + int(np.nonzero(bad)[0][np.argmax(too_big)])
+                k = start + int(rows[np.argmax(too_big)])
                 raise NumericRangeError(
                     f"row {k}: a component value exceeds the largest finite double; "
                     "rescale inputs/outputs to smaller units"
@@ -398,7 +393,7 @@ def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
         total = terms[:, 0].copy()
         for j in range(1, terms.shape[1]):
             total += terms[:, j]
-        out[start : start + rows] = total
+        out[start : start + _BLOCK_ROWS] = total
     if not np.isfinite(out).all():
         k = int(np.argmin(np.isfinite(out)))
         raise NumericRangeError(
@@ -406,14 +401,6 @@ def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
             "rescale inputs/outputs to smaller units"
         )
     return out
-
-
-def eval_component(comp: ComponentParams, x, x0) -> float:
-    """Closed-form contribution of one component at x (strictly above x0)."""
-    x0_t = _as_float_tuple(x0, "x0")
-    if len(x0_t) != comp.d:
-        raise DomainError(f"x0 must have length {comp.d}, got {len(x0_t)}")
-    return float(_mean_values([x], x0_t, _stack_components([comp]))[0])
 
 
 def evaluate(model: SteModel, x) -> float:

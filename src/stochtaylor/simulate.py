@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotSampleableError, NumericRangeError
-from .model import ComponentParams, GeneralIntensity, _points, _stack_components, csv_text
+from .model import (
+    ComponentParams,
+    GeneralIntensity,
+    _as_int,
+    _points,
+    _stack_components,
+    csv_text,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -68,8 +75,7 @@ class PointPattern:
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.events, dtype=float)
-        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
-            raise DomainError(f"d must be a positive integer, got {self.d}")
+        object.__setattr__(self, "d", _as_int(self.d, "d", 1))
         if ev.ndim != 2 or ev.shape[1] != self.d + 1:
             raise DomainError(
                 f"events must be a (v, d+1) array with d={self.d}, got shape {ev.shape}"
@@ -123,8 +129,7 @@ class Envelope:
             arrays[name] = arr
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if isinstance(self.n_real, bool) or not isinstance(self.n_real, int) or self.n_real < 1:
-            raise DomainError(f"n_real must be a positive integer, got {self.n_real}")
+        object.__setattr__(self, "n_real", _as_int(self.n_real, "n_real", 1))
         if np.any(arrays["lower"] > arrays["upper"]):
             raise DomainError("lower must not exceed upper anywhere")
         for name, arr in (("grid", grid), *arrays.items()):
@@ -251,8 +256,7 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     log_delta = np.log(_points(grid, g.x0) - g.x0)
     if log_delta.shape[0] == 0:
         raise DomainError("grid must contain at least one point")
-    if isinstance(n_real, bool) or not isinstance(n_real, int) or n_real < 1:
-        raise DomainError(f"n_real must be a positive integer, got {n_real}")
+    n_real = _as_int(n_real, "n_real", 1)
     _require_sampleable(g)
     arrays = _component_arrays(g)
     values = np.zeros((n_real, log_delta.shape[0]))
@@ -294,8 +298,7 @@ def mc_mean(g: GeneralIntensity, x, n_real: int, rng: RngStream) -> tuple[float,
     by sqrt(n_real). This is the simulation cross-check of the closed-form
     mean: the two agree within a few stderr for any sampleable model.
     """
-    if isinstance(n_real, bool) or not isinstance(n_real, int) or n_real < 2:
-        raise DomainError(f"n_real must be an integer >= 2, got {n_real}")
+    n_real = _as_int(n_real, "n_real", 2)
     grid = np.asarray([list(map(float, np.atleast_1d(x)))], dtype=float)
     values = mc_values(g, grid, n_real, rng)[:, 0]
     mean = float(values.mean())
@@ -317,8 +320,8 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     alpha = float(alpha)
     values = mc_values(g, pts, n_real, rng)
-    lower = np.quantile(values, alpha / 2.0, axis=0, method="inverted_cdf")
-    upper = np.quantile(values, 1.0 - alpha / 2.0, axis=0, method="inverted_cdf")
+    probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+    lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")
     mean = values.mean(axis=0)
     return Envelope(grid=pts, lower=lower, upper=upper, mean=mean, alpha=alpha, n_real=n_real)
 

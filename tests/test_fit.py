@@ -139,13 +139,18 @@ class TestPackUnpack:
 
 
 class TestObjective:
-    def test_value_equals_rss_of_unpacked_model(self):
-        model = random_model(61, 1, 2)
+    # objective_value runs fit._forward, rss runs model._mean_values: the two
+    # mean implementations share no code, and this keeps them in agreement.
+    @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (3, 3)])
+    def test_value_equals_rss_of_unpacked_model(self, m, d):
+        model = random_model(61, d, m)
         v = pack_params(model)
         x = np.linspace(0.5, 2.5, 40)
-        data = Dataset(x[:, None], np.cos(x))
-        want = rss(unpack_params(v, 2, 1, (0.0,)), data)
-        assert objective_value(v, 2, data, (0.0,)) == pytest.approx(want, rel=1e-12)
+        X = np.stack([np.roll(x, 7 * r) for r in range(d)], axis=1)
+        data = Dataset(X, np.cos(X.sum(axis=1)))
+        x0 = (0.0,) * d
+        want = rss(unpack_params(v, m, d, x0), data)
+        assert objective_value(v, m, data, x0) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (3, 3), (2, 3)])
     def test_gradient_matches_central_differences(self, m, d):

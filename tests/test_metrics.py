@@ -37,7 +37,7 @@ class TestGridSpec:
             GridSpec(lower=(0.0,), upper=(1.0,), points_per_dim=1)
 
     def test_rejects_boolean_and_float_point_counts(self):
-        for points in (True, 5.0):
+        for points in (True, 5.5):
             with pytest.raises(DomainError):
                 GridSpec(lower=(0.0,), upper=(1.0,), points_per_dim=points)
 

@@ -16,7 +16,6 @@ from stochtaylor import (
     RngStream,
     SteModel,
     centered_power_moment,
-    eval_component,
     evaluate,
     evaluate_general,
     from_taylor_polynomial,
@@ -130,6 +129,11 @@ class TestComponentParams:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             ComponentParams(math.nan, 1.0, (1.0,), (0.1,), (0.0,))
+
+
+def eval_component(comp: ComponentParams, x, x0) -> float:
+    """Closed-form contribution of one component: a one-component model's mean."""
+    return evaluate(SteModel(d=comp.d, components=(comp,), x0=x0), x)
 
 
 class TestEvalComponent:

@@ -269,7 +269,7 @@ class TestMcValues:
 
     def test_rejects_boolean_count(self):
         g = random_intensity(42, 1, 2)
-        for n_real in (True, 2.0):
+        for n_real in (True, 2.5):
             with pytest.raises(DomainError):
                 mc_values(g, np.ones((3, 1)), n_real, RngStream(0, 0))
 
@@ -300,7 +300,7 @@ class TestMcMean:
 
     def test_rejects_boolean_and_float_counts(self):
         g = degenerate_intensity(1.0)
-        for n_real in (True, 2.0):
+        for n_real in (True, 2.5):
             with pytest.raises(DomainError):
                 mc_mean(g, (2.0,), n_real, RngStream(0, 0))
 
@@ -342,6 +342,14 @@ class TestEnvelope:
         assert np.all(med <= narrow.upper)
         # band of adjacent order statistics: negligible next to the 95% band
         assert np.all(narrow.upper - narrow.lower <= 0.05 * (wide.upper - wide.lower))
+
+    def test_band_edges_are_per_point_quantiles_of_the_realizations(self):
+        g = random_intensity(48, 1, 2)
+        env = envelope(g, self.grid(), 2_000, 0.1, RngStream(49, 0))
+        values = mc_values(g, self.grid(), 2_000, RngStream(49, 0))
+        for edge, prob in ((env.lower, 0.05), (env.upper, 0.95)):
+            want = np.quantile(values, prob, axis=0, method="inverted_cdf")
+            assert np.array_equal(edge, want)
 
     def test_width_shrinks_with_rate(self):
         # Coefficients scaled by 1/lam keep the mean curve fixed, so the
