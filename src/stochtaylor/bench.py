@@ -251,10 +251,15 @@ class ExperimentSpec:
         object.__setattr__(self, "m_max", _as_int(self.m_max, "m_max", 1))
         object.__setattr__(self, "n_seeds", _as_int(self.n_seeds, "n_seeds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
+        for name, minimum in (("n_starts", 1), ("max_iters", 1), ("grid_points", 2)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         if self.x0 is not None:
             x0 = tuple(float(v) for v in self.x0)
             if len(x0) != fn.d:
                 raise DomainError(f"x0 must have length d={fn.d}, got {len(x0)}")
+            if not all(math.isfinite(v) for v in x0):
+                raise DomainError("x0 must be finite")
             object.__setattr__(self, "x0", x0)
 
     @property
@@ -439,7 +444,7 @@ def spec_from_dict(doc: dict) -> ExperimentSpec:
             overrides["sigma"] = float(doc["sigma"])
         for name in ("n_starts", "max_iters", "grid_points"):
             if doc.get(name) is not None:
-                overrides[name] = _as_int(doc[name], name)
+                overrides[name] = doc[name]
         for part in ("fit", "eval"):
             window = doc.get(f"{part}_window")
             if window:

@@ -358,39 +358,40 @@ def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
 
 
 def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarray:
-    """d(prediction)/d(parameter vector), shape (K, M*(3d+2)).
+    """d(prediction)/d(parameter vector), C-contiguous, shape (K, M*(3d+2)).
 
     Derivative paths through a clipped power factor or clipped coefficient
-    are zeroed (the prediction is locally constant along them). Each block
-    is formed for all components at once with the operations, in the same
-    order, of the per-component loop that tests/test_properties.py keeps as
-    the reference, so the two agree bit for bit.
+    are zeroed (the prediction is locally constant along them). Blocks are
+    formed in an (M, 3d+2, K) array, so inner loops run over the K points,
+    with each element's operations in the order of the per-component loop
+    that tests/test_properties.py keeps as the bit-for-bit reference.
     """
     sigma_a, sigma_n, rho, z, corr, coeff, powers, power_mask, coeff_mask = aux
     K = log_delta.shape[0]
-    J = np.empty((K, m, params_width(d)))
-    j_mu_a, j_s_a, j_mu_n, j_s_n, j_z = _split_params(J, d)
-    # (K, M) factors of each term, broadcast over (K, M, d) blocks.
-    P_via_coeff = powers * coeff_mask
-    CP_masked = coeff * powers * power_mask
-    log_k = log_delta[:, None, :]
+    JT = np.empty((m, params_width(d), K))
+    views = _split_params(JT.swapaxes(1, 2), d)
+    j_mu_a, j_s_a, j_mu_n, j_s_n, j_z = (view.swapaxes(1, -1) for view in views)
+    # (M, K) factors of each term, broadcast over (M, d, K) blocks.
+    log_t = np.ascontiguousarray(log_delta.T)
+    P_via_coeff = np.ascontiguousarray((powers * coeff_mask).T)
+    CP_masked = np.ascontiguousarray((coeff * powers * power_mask).T)[:, None, :]
     j_mu_a[...] = P_via_coeff
-    j_s_a[...] = corr * P_via_coeff * (sigma_a - SIGMA_FLOOR)
-    j_mu_n[...] = CP_masked[:, :, None] * log_k
-    via_coeff = (sigma_a[:, None] * rho) * log_k * P_via_coeff[:, :, None]
-    via_power = CP_masked[:, :, None] * (sigma_n * log_k**2)
-    j_s_n[...] = (via_coeff + via_power) * (sigma_n - SIGMA_FLOOR)
-    # rho = z / s with s = sqrt(1 + ||z||^2), in (M, K, d) layout so that
-    # d_rho @ z_i is one matrix-vector product per component. s**3 is
-    # Python's float power: NumPy's vectorised power can differ from it in
-    # the last bit.
+    j_s_a[...] = corr.T * P_via_coeff * (sigma_a - SIGMA_FLOOR)[:, None]
+    P_via_coeff = P_via_coeff[:, None, :]
+    j_mu_n[...] = CP_masked * log_t
+    via_coeff = (sigma_a[:, None] * rho)[:, :, None] * log_t * P_via_coeff
+    via_power = CP_masked * (sigma_n[:, :, None] * log_t**2)
+    j_s_n[...] = (via_coeff + via_power) * (sigma_n - SIGMA_FLOOR)[:, :, None]
+    # rho = z / s with s = sqrt(1 + ||z||^2). d_rho @ z_i runs on a contiguous
+    # (M, K, d) copy, the loop's operand layout. s**3 is Python's float power:
+    # NumPy's vectorised power can differ from it in the last bit.
     z_col = z[:, :, None]
-    d_rho = (sigma_a[:, None] * sigma_n)[:, None, :] * log_delta * P_via_coeff.T[:, :, None]
+    d_rho = (sigma_a[:, None] * sigma_n)[:, :, None] * log_t * P_via_coeff
     s = np.sqrt(1.0 + np.matmul(z[:, None, :], z_col))
     s_cubed = (s.astype(object) ** 3).astype(float)
-    d_z = d_rho / s - np.matmul(d_rho, z_col) * z[:, None, :] / s_cubed
-    j_z[...] = d_z.transpose(1, 0, 2)
-    return J.reshape(K, -1)
+    d_rho_z = np.matmul(np.ascontiguousarray(d_rho.swapaxes(1, 2)), z_col).swapaxes(1, 2)
+    j_z[...] = d_rho / s - d_rho_z * z_col / s_cubed
+    return np.ascontiguousarray(JT.transpose(2, 0, 1)).reshape(K, -1)
 
 
 def objective_value(v, m: int, data: Dataset, x0) -> float:
@@ -432,6 +433,23 @@ def _outside_stacklevel() -> int:
     return level
 
 
+def _least_squares_callbacks(y: np.ndarray, m: int, d: int, log_delta: np.ndarray):
+    """TRF's residual and Jacobian callables. TRF calls ``jac(x)`` right after ``fun(x)``, so
+    the Jacobian reuses the last residual's forward pass at a ``v`` with the same bytes."""
+    last = [b"", None]
+
+    def residuals(v: np.ndarray) -> np.ndarray:
+        pred, last[1] = _forward(v, m, d, log_delta)
+        last[0] = v.tobytes()
+        return pred - y
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        aux = last[1] if v.tobytes() == last[0] else _forward(v, m, d, log_delta)[1]
+        return _prediction_jacobian(aux, m, d, log_delta)
+
+    return residuals, jacobian
+
+
 def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     """Minimum-RSS model over cfg.n_starts local optimizations at fixed M.
 
@@ -452,15 +470,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
         )
 
     y = data.y
-
-    def residuals(v: np.ndarray) -> np.ndarray:
-        pred, _ = _forward(v, m, data.d, log_delta)
-        return pred - y
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        _, aux = _forward(v, m, data.d, log_delta)
-        return _prediction_jacobian(aux, m, data.d, log_delta)
-
+    residuals, jacobian = _least_squares_callbacks(y, m, data.d, log_delta)
     anchor = _taylor_start(y, m, data.d, log_delta)
     budget = max(2, cfg.max_iters // cfg.n_starts)
     candidates = []

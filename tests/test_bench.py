@@ -147,6 +147,22 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             dataclasses.replace(default_spec("identity"), **{field: True})
 
+    @pytest.mark.parametrize(
+        "field, minimum", [("n_starts", 1), ("max_iters", 1), ("grid_points", 2)]
+    )
+    def test_checks_optional_counts(self, field, minimum):
+        spec = default_spec("identity")
+        for bad in (True, 2.5, minimum - 1, "3"):
+            with pytest.raises(DomainError, match=field):
+                dataclasses.replace(spec, **{field: bad})
+        assert getattr(dataclasses.replace(spec, **{field: float(minimum)}), field) == minimum
+        assert getattr(dataclasses.replace(spec, **{field: None}), field) is None
+
+    def test_rejects_non_finite_x0(self):
+        for bad in ((math.nan,), (math.inf,), (-math.inf,)):
+            with pytest.raises(DomainError, match="x0 must be finite"):
+                dataclasses.replace(default_spec("identity"), x0=bad)
+
     def test_rejects_wrong_window_length(self):
         with pytest.raises(DomainError):
             default_spec("exp2d", fit_lower=(0.0,))

@@ -446,6 +446,7 @@ class TestErrorContract:
             {"K": 25.9},
             {"m_max": True},
             {"seed": 2.5},
+            {"grid_points": 1},
         ],
         ids=[
             "K-not-a-number",
@@ -454,6 +455,7 @@ class TestErrorContract:
             "K-not-integral",
             "m_max-boolean",
             "seed-not-integral",
+            "grid_points-below-two",
         ],
     )
     def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):

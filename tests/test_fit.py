@@ -195,6 +195,30 @@ class TestObjective:
             assert np.all(J[:, 1, cols] == 0.0)
             assert np.all(J[:, [0, 2]][:, :, cols] != 0.0)
 
+    def test_jacobian_reuses_only_the_last_residuals_forward_pass(self, monkeypatch):
+        m, d, K = 3, 2, 40
+        gen = RngStream(64, 0).generator()
+        log_delta = np.log(gen.uniform(1.5, 3.0, (K, d)))
+        v, w = gen.uniform(-0.5, 0.5, (2, m * params_width(d)))
+        forward = fit_mod._forward
+
+        def direct(u):
+            return fit_mod._prediction_jacobian(forward(u, m, d, log_delta)[1], m, d, log_delta)
+
+        calls = []
+        monkeypatch.setattr(fit_mod, "_forward", lambda *a: calls.append(1) or forward(*a))
+        residuals, jacobian = fit_mod._least_squares_callbacks(
+            gen.normal(size=K), m, d, log_delta
+        )
+        residuals(v)
+        assert np.array_equal(jacobian(w), direct(w)) and len(calls) == 2
+        assert np.array_equal(jacobian(v.copy()), direct(v)) and len(calls) == 2
+        # The same array object, changed after the residual call, is recomputed.
+        u = v.copy()
+        residuals(u)
+        u[0] += 1.0
+        assert np.array_equal(jacobian(u), direct(u)) and len(calls) == 4
+
     def test_rejects_bad_x0_and_parameter_length(self):
         data = Dataset(np.linspace(0.5, 2.0, 10)[:, None], np.linspace(1.0, 2.0, 10))
         v = np.zeros(params_width(1))

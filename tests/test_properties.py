@@ -218,7 +218,7 @@ def loop_jacobian(aux, m, d, log_delta):
     seed=seeds,
     d=st.integers(1, 3),
     m=st.integers(1, 8),
-    K=st.integers(1, 60),
+    K=st.integers(1, 600),
     region=st.sampled_from(["plain", "power clip", "coefficient clip", "large z and sigma"]),
 )
 def test_vectorised_jacobian_matches_the_component_loop(seed, d, m, K, region):
