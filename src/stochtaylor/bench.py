@@ -12,9 +12,8 @@ luck.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import DataError, DomainError, FitFailure, NumericRangeError
 from .fit import Dataset, FitConfig, select_model
 from .metrics import GridSpec, integrated_sq_distance, l1_distance, shift_window_above
-from .model import _as_int, atomic_write_text, predict_grid
+from .model import _as_finite_float, _as_float_tuple, _as_int, atomic_write_text, predict_grid
 from .rng import RngStream
 
 __all__ = [
@@ -224,11 +223,9 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         fn = get_test_function(self.function)
         for name in ("fit_lower", "fit_upper", "eval_lower", "eval_upper"):
-            value = tuple(float(v) for v in getattr(self, name))
+            value = _as_float_tuple(getattr(self, name), name)
             if len(value) != fn.d:
                 raise DomainError(f"{name} must have length d={fn.d}, got {len(value)}")
-            if not all(math.isfinite(v) for v in value):
-                raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         if any(lo >= hi for lo, hi in zip(self.fit_lower, self.fit_upper)):
             raise DomainError("fit window must have lower < upper")
@@ -245,9 +242,9 @@ class ExperimentSpec:
         if not inside:
             raise DomainError("evaluation window must contain the fit window")
         object.__setattr__(self, "K", _as_int(self.K, "K", 1))
-        if not (float(self.sigma) >= 0.0):
+        object.__setattr__(self, "sigma", _as_finite_float(self.sigma, "sigma"))
+        if self.sigma < 0.0:
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "m_max", _as_int(self.m_max, "m_max", 1))
         object.__setattr__(self, "n_seeds", _as_int(self.n_seeds, "n_seeds", 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
@@ -255,12 +252,9 @@ class ExperimentSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         if self.x0 is not None:
-            x0 = tuple(float(v) for v in self.x0)
-            if len(x0) != fn.d:
-                raise DomainError(f"x0 must have length d={fn.d}, got {len(x0)}")
-            if not all(math.isfinite(v) for v in x0):
-                raise DomainError("x0 must be finite")
-            object.__setattr__(self, "x0", x0)
+            object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0"))
+            if len(self.x0) != fn.d:
+                raise DomainError(f"x0 must have length d={fn.d}, got {len(self.x0)}")
 
     @property
     def d(self) -> int:
@@ -272,7 +266,7 @@ def default_spec(function_id: str, K: int | None = None, **overrides) -> Experim
     fn = get_test_function(function_id)
     base = dict(
         function=fn.id,
-        K=_as_int(K, "K") if K is not None else fn.k_values[-1],
+        K=fn.k_values[-1] if K is None else K,
         sigma=fn.sigma,
         m_max=fn.m_max,
         fit_lower=fn.fit_lower,
@@ -295,7 +289,8 @@ def make_dataset(fn: TestFunction, K: int, sigma: float, rng: RngStream) -> Data
     noise is N(0, sigma^2), drawn after sorting. Bit-identical per stream.
     """
     K = _as_int(K, "K", 1)
-    if not (float(sigma) >= 0.0):
+    sigma = _as_finite_float(sigma, "sigma")
+    if sigma < 0.0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     gen = rng.generator()
     lo = np.asarray(fn.fit_lower)
@@ -303,7 +298,7 @@ def make_dataset(fn: TestFunction, K: int, sigma: float, rng: RngStream) -> Data
     u = gen.random((K, fn.d))
     X = hi[None, :] - (hi - lo)[None, :] * u
     X = X[np.lexsort(X.T[::-1])]
-    y = fn(X) + float(sigma) * gen.standard_normal(K)
+    y = fn(X) + sigma * gen.standard_normal(K)
     return Dataset(X=X, y=y)
 
 
@@ -334,6 +329,8 @@ class ExperimentReport:
         return sum(1 for rec in self.per_seed if rec.error is not None)
 
 
+# The per-seed fields of the medians and of the report columns, in report
+# order. Timing is last: an untimed report drops it.
 _MEDIAN_FIELDS = ("chosen_m", "rss", "sigma2_hat", "d_sq", "d_l1", "wall_time_s")
 
 
@@ -432,27 +429,26 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
 def spec_from_dict(doc: dict) -> ExperimentSpec:
     """Spec from its JSON document; absent fields take the registry defaults.
 
-    ``"x0": null`` asks for the automatic origin rule, and a null
-    ``n_starts``, ``max_iters`` or ``grid_points`` for the package default.
+    ``"x0": null`` asks for the automatic origin rule; a null ``n_starts``,
+    ``max_iters`` or ``grid_points`` counts as absent. Every field is
+    converted and checked by :class:`ExperimentSpec`.
     """
     if not isinstance(doc, dict):
         raise DataError("experiment spec must be a JSON object")
     try:
-        ints = ("K", "m_max", "n_seeds", "seed")
-        overrides = {name: _as_int(doc[name], name) for name in ints if name in doc}
-        if "sigma" in doc:
-            overrides["sigma"] = float(doc["sigma"])
+        fields = ("K", "sigma", "m_max", "n_seeds", "seed", "x0")
+        overrides = {name: doc[name] for name in fields if name in doc}
         for name in ("n_starts", "max_iters", "grid_points"):
             if doc.get(name) is not None:
                 overrides[name] = doc[name]
         for part in ("fit", "eval"):
             window = doc.get(f"{part}_window")
             if window:
-                overrides[f"{part}_lower"] = tuple(window["lower"])
-                overrides[f"{part}_upper"] = tuple(window["upper"])
-        if "x0" in doc:
-            overrides["x0"] = None if doc["x0"] is None else tuple(doc["x0"])
-        return default_spec(doc["function"], **overrides)
+                overrides[f"{part}_lower"] = window["lower"]
+                overrides[f"{part}_upper"] = window["upper"]
+        # replace(), not default_spec(K=...): there K=None means the largest
+        # registered K, here "K": null is malformed.
+        return replace(default_spec(doc["function"]), **overrides)
     except KeyError as exc:
         raise DataError(f"experiment spec is missing the {exc.args[0]!r} field") from None
     except (TypeError, ValueError) as exc:
@@ -475,22 +471,11 @@ def load_experiment_specs(path: str) -> list[ExperimentSpec]:
     return [spec_from_dict(entry) for entry in doc]
 
 
-def _record_row(rec: SeedRecord, include_timing: bool) -> list[str]:
-    def fmt(value) -> str:
-        return "" if value is None else repr(float(value))
-
-    row = [
-        str(rec.seed_index),
-        "" if rec.chosen_m is None else str(rec.chosen_m),
-        fmt(rec.rss),
-        fmt(rec.sigma2_hat),
-        fmt(rec.d_sq),
-        fmt(rec.d_l1),
-    ]
-    if include_timing:
-        row.append(fmt(rec.wall_time_s))
-    row.append("" if rec.error is None else rec.error.replace(",", ";"))
-    return row
+def _cell(value) -> str:
+    """A per-seed report cell: empty for None, an int as written, a real by repr."""
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def report_to_csv(report: ExperimentReport, include_timing: bool = True) -> str:
@@ -500,42 +485,23 @@ def report_to_csv(report: ExperimentReport, include_timing: bool = True) -> str:
     pure function of (spec, seed); command-line report files are written in
     that deterministic form.
     """
-    header = ["seed", "chosen_m", "rss", "sigma2_hat", "d_sq", "d_l1"]
-    if include_timing:
-        header.append("wall_time_s")
-    header.append("error")
-    lines = [",".join(header)]
+    fields = _MEDIAN_FIELDS if include_timing else _MEDIAN_FIELDS[:-1]
+    lines = [",".join(["seed", *fields, "error"])]
     for rec in report.per_seed:
-        lines.append(",".join(_record_row(rec, include_timing)))
-    med = report.medians
-    median_row = [
-        "median",
-        repr(float(med["chosen_m"])),
-        repr(float(med["rss"])),
-        repr(float(med["sigma2_hat"])),
-        repr(float(med["d_sq"])),
-        repr(float(med["d_l1"])),
-    ]
-    if include_timing:
-        median_row.append(repr(float(med["wall_time_s"])))
-    median_row.append("")
-    lines.append(",".join(median_row))
+        error = "" if rec.error is None else rec.error.replace(",", ";")
+        cells = [_cell(getattr(rec, name)) for name in fields]
+        lines.append(",".join([str(rec.seed_index), *cells, error]))
+    medians = [repr(float(report.medians[name])) for name in fields]
+    lines.append(",".join(["median", *medians, ""]))
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: ExperimentReport, include_timing: bool = True) -> str:
     def rec_doc(rec: SeedRecord) -> dict:
-        doc = {
-            "seed_index": rec.seed_index,
-            "chosen_m": rec.chosen_m,
-            "rss": rec.rss,
-            "sigma2_hat": rec.sigma2_hat,
-            "d_sq": rec.d_sq,
-            "d_l1": rec.d_l1,
-            "error": rec.error,
-        }
+        doc = asdict(rec)
+        wall_time_s = doc.pop("wall_time_s")
         if include_timing:
-            doc["wall_time_s"] = rec.wall_time_s
+            doc["wall_time_s"] = wall_time_s
         return doc
 
     medians = dict(report.medians)

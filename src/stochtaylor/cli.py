@@ -45,7 +45,7 @@ from .model import (
     predict_original_units,
 )
 from .rng import RngStream
-from .simulate import Envelope, envelope, envelope_to_csv, sample_pattern
+from .simulate import envelope, envelope_to_csv, sample_pattern
 
 __all__ = ["main", "ingest"]
 
@@ -173,8 +173,6 @@ def _load_model_file(path: str):
 def _cmd_fit(args) -> int:
     rescale = _parse_vector(args.rescale, "--rescale") if args.rescale else None
     data = ingest(args.input, rescale)
-    if rescale is not None and len(rescale) != data.d + 1:
-        raise UsageError(f"--rescale needs d+1={data.d + 1} factors, got {len(rescale)}")
     if args.x0 is not None:
         x0 = _parse_vector(args.x0, "--x0")
         if len(x0) != data.d:
@@ -189,7 +187,7 @@ def _cmd_fit(args) -> int:
     sel = select_model(data, args.m_max, cfg, x0=x0)
     doc = selected_fit_to_dict(sel)
     if rescale is not None:
-        doc["rescale"] = [float(c) for c in rescale]
+        doc["rescale"] = list(rescale)
     atomic_write_text(args.out, json.dumps(doc, indent=2) + "\n")
     print(f"chosen_m={sel.chosen_m} rss={sel.chosen.rss!r} model={args.out}")
     return 0
@@ -224,15 +222,14 @@ def _cmd_envelope(args) -> int:
         args.alpha,
         RngStream(args.seed, 0),
     )
-    env_original = Envelope(
+    env = replace(
+        env,
         grid=points,
         lower=env.lower * scale_out,
         upper=env.upper * scale_out,
         mean=env.mean * scale_out,
-        alpha=env.alpha,
-        n_real=env.n_real,
     )
-    atomic_write_text(args.out, envelope_to_csv(env_original))
+    atomic_write_text(args.out, envelope_to_csv(env))
     return 0
 
 

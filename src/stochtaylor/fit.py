@@ -37,11 +37,14 @@ from .errors import DomainError, FitFailure, NumericRangeError
 from .model import (
     ComponentParams,
     SteModel,
+    _as_finite_float,
+    _as_float_tuple,
     _as_int,
     _mean_values,
     _points,
     _stack_components,
     evaluate,  # noqa: F401 -- a module attribute that perfbench/spans.py patches
+    model_to_dict,
 )
 from .rng import RngStream
 
@@ -159,9 +162,11 @@ class FitConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_starts", _as_int(self.n_starts, "n_starts", 1))
         object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1))
-        if not (self.rel_tol > 0.0):
+        for name in ("rel_tol", "delta_frac", "select_tol"):
+            object.__setattr__(self, name, _as_finite_float(getattr(self, name), name))
+        if self.rel_tol <= 0.0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not (self.delta_frac > 0.0):
+        if self.delta_frac <= 0.0:
             raise DomainError(f"delta_frac must be positive, got {self.delta_frac}")
         if self.select_tol < 0.0:
             raise DomainError(f"select_tol must be >= 0, got {self.select_tol}")
@@ -287,11 +292,9 @@ def _param_vector(v, m: int, d: int) -> np.ndarray:
 def _log_offsets(data: Dataset, m: int, x0) -> tuple[int, np.ndarray, np.ndarray]:
     """Checked M and origin, and the log offsets log(X - x0) of an M-component fit."""
     m = _as_int(m, "M", 1)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = np.asarray(_as_float_tuple(x0, "x0"))
     if x0.shape[0] != data.d:
         raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
-    if not np.isfinite(x0).all():
-        raise DomainError("x0 must be finite")
     return m, x0, np.log(_points(data.X, x0) - x0)
 
 
@@ -339,7 +342,7 @@ def unpack_params(v, m: int, d: int, x0) -> SteModel:
         )
         for i in range(m)
     )
-    return SteModel(d=d, components=comps, x0=tuple(float(c) for c in x0), sigma2=0.0)
+    return SteModel(d=d, components=comps, x0=x0, sigma2=0.0)
 
 
 def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
@@ -587,8 +590,6 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
 
 
 def fit_result_to_dict(result: FitResult) -> dict:
-    from .model import model_to_dict
-
     return {
         "model": model_to_dict(result.model),
         "rss": result.rss,
@@ -605,8 +606,6 @@ def selected_fit_to_dict(sel: SelectedFit) -> dict:
     ``per_m_rss`` lists every order 1..M_max; a failed or skipped order
     reads null and is named in ``failures`` or ``skipped``.
     """
-    from .model import model_to_dict
-
     m_max = len(sel.per_m) + len(sel.failures) + len(sel.skipped)
     doc = model_to_dict(sel.chosen.model)
     doc["fit"] = {

@@ -8,13 +8,12 @@ trapezoid rule: D_sq = integral of (f_hat - f_true)**2, D_l1 = integral of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .model import _as_int
+from .model import _as_float_tuple, _as_int
 
 __all__ = [
     "GridSpec",
@@ -34,16 +33,14 @@ class GridSpec:
     points_per_dim: int
 
     def __post_init__(self) -> None:
-        lower = tuple(float(v) for v in self.lower)
-        upper = tuple(float(v) for v in self.upper)
+        lower = _as_float_tuple(self.lower, "lower")
+        upper = _as_float_tuple(self.upper, "upper")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if len(lower) != len(upper) or not lower:
             raise DomainError(
                 f"lower and upper must be nonempty and share length, got {lower}, {upper}"
             )
-        if not all(math.isfinite(v) for v in lower + upper):
-            raise DomainError("window bounds must be finite")
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise DomainError(f"need lower < upper per coordinate, got {lower}, {upper}")
         points_per_dim = _as_int(self.points_per_dim, "points_per_dim", 2)
@@ -126,7 +123,7 @@ def shift_window_above(grid: GridSpec, x0) -> GridSpec:
     that starts exactly at the origin would place its first grid point on
     ln(0). Axes already strictly above x0 are unchanged.
     """
-    x0_t = tuple(float(v) for v in x0)
+    x0_t = _as_float_tuple(x0, "x0")
     if len(x0_t) != grid.d:
         raise DomainError(f"x0 must have length {grid.d}, got {len(x0_t)}")
     steps = grid.steps()

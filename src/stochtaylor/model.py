@@ -73,24 +73,26 @@ __all__ = [
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _as_float_tuple(values, name: str) -> tuple[float, ...]:
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a sequence of reals") from exc
-    if not all(math.isfinite(v) for v in out):
-        raise DomainError(f"{name} must be finite, got {out}")
-    return out
-
-
 def _as_finite_float(value, name: str) -> float:
+    """``value`` as a finite float. A boolean is not a real number here."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} is a boolean")
         out = float(value)
     except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a real number") from exc
+        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
     if not math.isfinite(out):
         raise DomainError(f"{name} must be finite, got {out}")
     return out
+
+
+def _as_float_tuple(values, name: str) -> tuple[float, ...]:
+    """``values`` as a tuple of finite floats, each read by :func:`_as_finite_float`."""
+    try:
+        values = tuple(values)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be a sequence of reals") from exc
+    return tuple(_as_finite_float(v, name) for v in values)
 
 
 def _as_int(value, name: str, minimum: int | None = None) -> int:
@@ -502,17 +504,18 @@ def model_from_dict(doc: dict) -> SteModel:
             ComponentParams(
                 mu_a=c["mu_a"],
                 sigma_a=c["sigma_a"],
-                mu_n=tuple(c["mu_n"]),
-                sigma_n=tuple(c["sigma_n"]),
-                rho=tuple(c["rho"]),
+                mu_n=c["mu_n"],
+                sigma_n=c["sigma_n"],
+                rho=c["rho"],
             )
             for c in doc["components"]
         )
         return SteModel(
-            d=_as_int(doc["d"], "d"),
+            d=doc["d"],
             components=comps,
-            x0=tuple(doc["x0"]),
-            sigma2=float(doc["sigma2"]),
+            x0=doc["x0"],
+            sigma2=doc["sigma2"],
+            # A document must state its factors: null is not the default here.
             rescale=tuple(doc["rescale"]),
         )
     except KeyError as exc:

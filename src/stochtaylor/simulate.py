@@ -141,12 +141,10 @@ class Envelope:
 def is_sampleable(comp: ComponentParams) -> bool:
     """Whether the component's (a, n) covariance is positive semidefinite.
 
-    With independent power coordinates the condition reduces to
-    ``sum_r rho[r]**2 <= 1`` (checked with 1e-12 slack) plus nonnegative
-    standard deviations.
+    With independent power coordinates, and the nonnegative standard
+    deviations that ``ComponentParams`` enforces, the condition reduces to
+    ``sum_r rho[r]**2 <= 1`` (checked with 1e-12 slack).
     """
-    if comp.sigma_a < 0.0 or any(s < 0.0 for s in comp.sigma_n):
-        return False
     return math.fsum(r * r for r in comp.rho) <= 1.0 + _PSD_TOL
 
 
@@ -299,8 +297,7 @@ def mc_mean(g: GeneralIntensity, x, n_real: int, rng: RngStream) -> tuple[float,
     mean: the two agree within a few stderr for any sampleable model.
     """
     n_real = _as_int(n_real, "n_real", 2)
-    grid = np.asarray([list(map(float, np.atleast_1d(x)))], dtype=float)
-    values = mc_values(g, grid, n_real, rng)[:, 0]
+    values = mc_values(g, [x], n_real, rng)[:, 0]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_real))
     return mean, stderr
@@ -313,9 +310,7 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
     each realization is evaluated across the entire grid. Deterministic per
     (seed, stream_id).
     """
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(grid, g.x0)
     if not (0.0 < float(alpha) < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     alpha = float(alpha)

@@ -13,7 +13,9 @@ from stochtaylor import DomainError, RngStream, UnderdeterminedWarning
 from stochtaylor.bench import (
     DEFAULT_GRID_POINTS,
     REGISTRY,
+    ExperimentReport,
     ExperimentSpec,
+    SeedRecord,
     default_spec,
     get_test_function,
     load_experiment_specs,
@@ -112,6 +114,11 @@ class TestMakeDataset:
         with pytest.raises(DomainError):
             make_dataset(get_test_function("identity"), True, 1.0, RngStream(0, 0))
 
+    @pytest.mark.parametrize("sigma", [True, np.bool_(False), math.inf, math.nan])
+    def test_rejects_boolean_and_non_finite_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            make_dataset(get_test_function("identity"), 10, sigma, RngStream(0, 0))
+
 
 class TestExperimentSpec:
     def test_default_spec_pulls_registry_values(self):
@@ -141,6 +148,15 @@ class TestExperimentSpec:
             default_spec("identity", sigma=-0.1)
         with pytest.raises(DomainError):
             default_spec("identity", n_seeds=0)
+
+    @pytest.mark.parametrize("sigma", [True, math.inf, math.nan])
+    def test_rejects_boolean_and_non_finite_sigma(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            default_spec("identity", sigma=sigma)
+
+    def test_rejects_boolean_window_bounds(self):
+        with pytest.raises(DomainError, match="fit_upper"):
+            default_spec("identity", fit_lower=(0.0,), fit_upper=(True,))
 
     @pytest.mark.parametrize("field", ["K", "m_max", "n_seeds"])
     def test_rejects_boolean_counts(self, field):
@@ -285,3 +301,138 @@ class TestRunExperiment:
 
     def test_grid_points_default(self):
         assert DEFAULT_GRID_POINTS == {1: 1000, 2: 200}
+
+
+# The spec block of every report_to_json text built from hand_report().
+_HAND_SPEC_JSON = """\
+  "spec": {
+    "function": "identity",
+    "K": 30,
+    "sigma": 1e-05,
+    "m_max": 15,
+    "fit_window": {
+      "lower": [
+        0.0
+      ],
+      "upper": [
+        5.0
+      ]
+    },
+    "eval_window": {
+      "lower": [
+        0.0
+      ],
+      "upper": [
+        7.0
+      ]
+    },
+    "n_seeds": 2,
+    "seed": 0,
+    "x0": [
+      0.0
+    ],
+    "n_starts": 4,
+    "max_iters": 400
+  },
+"""
+
+
+class TestReportFormat:
+    """Exact report text of a hand-built report: one fitted and one failed seed."""
+
+    @staticmethod
+    def hand_report() -> ExperimentReport:
+        ok = SeedRecord(0, 1, 0.25, 0.125, 1e-06, 0.001, wall_time_s=1.5)
+        failed = SeedRecord(
+            1, None, None, None, None, None, wall_time_s=0.75,
+            error="FitFailure: no start converged, M=1",
+        )
+        medians = {
+            "chosen_m": 1.0, "rss": 0.25, "sigma2_hat": 0.125,
+            "d_sq": 1e-06, "d_l1": 0.001, "wall_time_s": 1.125,
+        }
+        spec = default_spec("identity", K=30, n_seeds=2)
+        return ExperimentReport(spec=spec, per_seed=(ok, failed), medians=medians)
+
+    def test_csv_without_timing(self):
+        assert report_to_csv(self.hand_report(), include_timing=False) == (
+            "seed,chosen_m,rss,sigma2_hat,d_sq,d_l1,error\n"
+            "0,1,0.25,0.125,1e-06,0.001,\n"
+            "1,,,,,,FitFailure: no start converged; M=1\n"
+            "median,1.0,0.25,0.125,1e-06,0.001,\n"
+        )
+
+    def test_csv_with_timing(self):
+        assert report_to_csv(self.hand_report(), include_timing=True) == (
+            "seed,chosen_m,rss,sigma2_hat,d_sq,d_l1,wall_time_s,error\n"
+            "0,1,0.25,0.125,1e-06,0.001,1.5,\n"
+            "1,,,,,,0.75,FitFailure: no start converged; M=1\n"
+            "median,1.0,0.25,0.125,1e-06,0.001,1.125,\n"
+        )
+
+    def test_json_without_timing(self):
+        assert report_to_json(self.hand_report(), include_timing=False) == "{\n" + _HAND_SPEC_JSON + """\
+  "per_seed": [
+    {
+      "seed_index": 0,
+      "chosen_m": 1,
+      "rss": 0.25,
+      "sigma2_hat": 0.125,
+      "d_sq": 1e-06,
+      "d_l1": 0.001,
+      "error": null
+    },
+    {
+      "seed_index": 1,
+      "chosen_m": null,
+      "rss": null,
+      "sigma2_hat": null,
+      "d_sq": null,
+      "d_l1": null,
+      "error": "FitFailure: no start converged, M=1"
+    }
+  ],
+  "medians": {
+    "chosen_m": 1.0,
+    "rss": 0.25,
+    "sigma2_hat": 0.125,
+    "d_sq": 1e-06,
+    "d_l1": 0.001
+  }
+}
+"""
+
+    def test_json_with_timing(self):
+        assert report_to_json(self.hand_report(), include_timing=True) == "{\n" + _HAND_SPEC_JSON + """\
+  "per_seed": [
+    {
+      "seed_index": 0,
+      "chosen_m": 1,
+      "rss": 0.25,
+      "sigma2_hat": 0.125,
+      "d_sq": 1e-06,
+      "d_l1": 0.001,
+      "error": null,
+      "wall_time_s": 1.5
+    },
+    {
+      "seed_index": 1,
+      "chosen_m": null,
+      "rss": null,
+      "sigma2_hat": null,
+      "d_sq": null,
+      "d_l1": null,
+      "error": "FitFailure: no start converged, M=1",
+      "wall_time_s": 0.75
+    }
+  ],
+  "medians": {
+    "chosen_m": 1.0,
+    "rss": 0.25,
+    "sigma2_hat": 0.125,
+    "d_sq": 1e-06,
+    "d_l1": 0.001,
+    "wall_time_s": 1.125
+  }
+}
+"""

@@ -412,6 +412,25 @@ class TestErrorContract:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_non_finite_grid_is_usage_error(self, capsys, tmp_path, toy_model_file):
+        model_path, _ = toy_model_file
+        out = os.path.join(tmp_path, "p.csv")
+        code, _, err = run_cli(
+            capsys, "predict", "--model", model_path, "--grid", "nan:1:5", "--out", out
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+
+    def test_wrong_rescale_count_is_data_error(self, capsys, tmp_path, power_csv):
+        out = os.path.join(tmp_path, "m.json")
+        code, _, err = run_cli(
+            capsys, "fit", "--input", power_csv, "--m-max", "1", "--rescale", "1,2,3",
+            "--out", out,
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+        assert not os.path.exists(out)
+
     def test_overflowing_prediction_is_numeric_error(self, capsys, tmp_path):
         comp = ComponentParams(1.0, 0.0, (60.0,), (0.0,), (0.0,))
         model = SteModel(d=1, components=(comp,), x0=(0.0,))
@@ -447,6 +466,9 @@ class TestErrorContract:
             {"m_max": True},
             {"seed": 2.5},
             {"grid_points": 1},
+            {"K": None},
+            {"sigma": None},
+            {"sigma": True},
         ],
         ids=[
             "K-not-a-number",
@@ -456,6 +478,9 @@ class TestErrorContract:
             "m_max-boolean",
             "seed-not-integral",
             "grid_points-below-two",
+            "K-null",
+            "sigma-null",
+            "sigma-boolean",
         ],
     )
     def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):

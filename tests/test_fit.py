@@ -275,6 +275,12 @@ class TestFitConfig:
             {"rel_tol": 0.0},
             {"delta_frac": 0.0},
             {"select_tol": -1e-3},
+            {"rel_tol": True},
+            {"delta_frac": np.bool_(True)},
+            {"select_tol": False},
+            {"rel_tol": math.inf},
+            {"delta_frac": math.inf},
+            {"select_tol": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

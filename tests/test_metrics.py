@@ -32,6 +32,16 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(lower=(2.0,), upper=(1.0,), points_per_dim=10)
 
+    def test_rejects_non_finite_bounds(self):
+        for lower, upper in (((np.nan,), (1.0,)), ((0.0,), (np.inf,)), ((-np.inf,), (1.0,))):
+            with pytest.raises(DomainError):
+                GridSpec(lower=lower, upper=upper, points_per_dim=3)
+
+    def test_rejects_boolean_bounds(self):
+        for lower, upper in (((True,), (2.0,)), ((0.0,), (np.bool_(True),))):
+            with pytest.raises(DomainError):
+                GridSpec(lower=lower, upper=upper, points_per_dim=3)
+
     def test_rejects_too_few_points(self):
         with pytest.raises(DomainError):
             GridSpec(lower=(0.0,), upper=(1.0,), points_per_dim=1)

@@ -130,6 +130,20 @@ class TestComponentParams:
         with pytest.raises(DomainError):
             ComponentParams(math.nan, 1.0, (1.0,), (0.1,), (0.0,))
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (True, 1.0, (1.0,), (0.1,), (0.0,)),
+            (0.0, np.bool_(True), (1.0,), (0.1,), (0.0,)),
+            (0.0, 1.0, (True,), (0.1,), (0.0,)),
+            (0.0, 1.0, (1.0,), (0.1,), (np.bool_(False),)),
+        ],
+        ids=["mu_a", "sigma_a-numpy", "mu_n", "rho-numpy"],
+    )
+    def test_rejects_booleans(self, args):
+        with pytest.raises(DomainError, match="must be"):
+            ComponentParams(*args)
+
 
 def eval_component(comp: ComponentParams, x, x0) -> float:
     """Closed-form contribution of one component: a one-component model's mean."""
