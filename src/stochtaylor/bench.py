@@ -462,6 +462,8 @@ def load_experiment_specs(path: str) -> list[ExperimentSpec]:
             doc = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read spec file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"spec file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"spec file {path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict):

@@ -39,6 +39,8 @@ from .errors import (
 from .fit import Dataset, FitConfig, select_model, selected_fit_to_dict
 from .metrics import GridSpec, integrated_sq_distance, l1_distance
 from .model import (
+    _rescale_factors,
+    _to_fitted_units,
     atomic_write_text,
     csv_text,
     load_model,
@@ -66,33 +68,36 @@ def _read_csv(path: str, min_columns: int) -> tuple[list[str], np.ndarray]:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file (a header row is required)") from None
-        n_cols = len(header)
-        if n_cols < min_columns:
-            raise DataError(
-                f"{path}: expected at least {min_columns} columns, header has {n_cols}"
-            )
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != n_cols:
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file (a header row is required)") from None
+            n_cols = len(header)
+            if n_cols < min_columns:
                 raise DataError(
-                    f"{path}: row {line_no}: expected {n_cols} columns, got {len(row)}"
+                    f"{path}: expected at least {min_columns} columns, header has {n_cols}"
                 )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != n_cols:
                     raise DataError(
-                        f"{path}: row {line_no}: non-numeric value {cell!r} "
-                        f"in column {j + 1}"
-                    ) from None
-            rows.append(parsed)
+                        f"{path}: row {line_no}: expected {n_cols} columns, got {len(row)}"
+                    )
+                parsed = []
+                for j, cell in enumerate(row):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {line_no}: non-numeric value {cell!r} "
+                            f"in column {j + 1}"
+                        ) from None
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=float)
@@ -104,21 +109,16 @@ def _read_csv(path: str, min_columns: int) -> tuple[list[str], np.ndarray]:
 def ingest(path: str, rescale=None) -> Dataset:
     """Dataset from a CSV of columns x_1..x_d, y (header required).
 
-    Each column is divided by its rescale factor (default all 1). Column
-    count fixes d = columns - 1.
+    Each column is divided by its finite, positive rescale factor (default
+    all 1). Column count fixes d = columns - 1.
     """
     _, matrix = _read_csv(path, min_columns=2)
-    n_cols = matrix.shape[1]
     if rescale is not None:
-        factors = np.asarray([float(c) for c in rescale])
-        if factors.shape[0] != n_cols:
-            raise DataError(
-                f"{path}: {n_cols} columns need {n_cols} rescale factors, "
-                f"got {factors.shape[0]}"
-            )
-        if not (factors > 0.0).all():
-            raise DataError(f"rescale factors must be positive, got {factors.tolist()}")
-        matrix = matrix / factors[None, :]
+        try:
+            factors = _rescale_factors(rescale, matrix.shape[1] - 1)
+        except DomainError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        matrix = matrix / np.asarray(factors)[None, :]
     return Dataset(X=matrix[:, :-1], y=matrix[:, -1])
 
 
@@ -164,6 +164,8 @@ def _load_model_file(path: str):
         return load_model(path)
     except OSError as exc:
         raise DataError(f"cannot read model {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"model file {path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from None
     except DomainError as exc:
@@ -211,23 +213,12 @@ def _cmd_predict(args) -> int:
 
 def _cmd_envelope(args) -> int:
     model = _load_model_file(args.model)
-    grid = _parse_grid(args.grid, model.d)
-    points = grid.points()
-    scale_in = np.asarray(model.rescale[: model.d])
-    scale_out = model.rescale[model.d]
-    env = envelope(
-        model,
-        points / scale_in[None, :],
-        args.n_real,
-        args.alpha,
-        RngStream(args.seed, 0),
-    )
+    points = _parse_grid(args.grid, model.d).points()
+    scaled = _to_fitted_units(model, points)
+    env = envelope(model, scaled, args.n_real, args.alpha, RngStream(args.seed, 0))
+    unit = model.rescale[model.d]
     env = replace(
-        env,
-        grid=points,
-        lower=env.lower * scale_out,
-        upper=env.upper * scale_out,
-        mean=env.mean * scale_out,
+        env, grid=points, lower=env.lower * unit, upper=env.upper * unit, mean=env.mean * unit
     )
     atomic_write_text(args.out, envelope_to_csv(env))
     return 0
@@ -237,15 +228,13 @@ def _cmd_simulate(args) -> int:
     model = _load_model_file(args.model)
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    patterns = [sample_pattern(model, RngStream(args.seed, i)) for i in range(args.n)]
+    counts = [pattern.count for pattern in patterns]
+    pattern_index = np.repeat(np.arange(args.n), counts)
+    event_index = np.concatenate([np.arange(count) for count in counts])
+    events = np.concatenate([pattern.events for pattern in patterns])
     header = ["pattern", "event", "a"] + [f"n_{r + 1}" for r in range(model.d)]
-    lines = [",".join(header)]
-    for i in range(args.n):
-        pattern = sample_pattern(model, RngStream(args.seed, i))
-        for j in range(pattern.count):
-            row = [str(i), str(j), repr(float(pattern.a[j]))]
-            row += [repr(float(v)) for v in pattern.n[j]]
-            lines.append(",".join(row))
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_text(args.out, csv_text(header, [pattern_index, event_index, *events.T]))
     return 0
 
 

@@ -82,6 +82,8 @@ _COEFF_CLIP = 1e60
 # long degenerate valleys where the RSS improvement test alone grinds until
 # the evaluation budget; a small-step exit ends those runs early.
 _XTOL = 1e-8
+# Relative RSS-improvement stopping tolerance of each start (scipy's ftol).
+_REL_TOL = 1e-10
 
 # Model selection: RSS ties are called within a relative window plus an
 # absolute floor proportional to the data's energy (so noiseless fits, whose
@@ -90,6 +92,7 @@ _XTOL = 1e-8
 # with standard deviation ~ sqrt(2K) * sigma^2, and sigma^2 is estimated by
 # rss_min / K, so RSS gaps below that scale carry no evidence for extra
 # components.
+_SELECT_TOL = 1e-3
 _TIE_FLOOR_REL = 1e-8
 _TIE_SE_MULT = 0.75
 
@@ -146,30 +149,24 @@ class FitConfig:
 
     ``n_starts`` local optimizations per M; ``max_iters`` total
     function-evaluation budget per model order, split evenly across starts
-    (each start gets at least 2 evaluations); ``rel_tol`` relative RSS
-    improvement stopping tolerance; ``delta_frac`` origin offset as a
-    fraction of the per-coordinate data range; ``select_tol`` relative RSS
-    tie window for choosing M; ``seed`` master seed for the start jitter.
+    (each start gets at least 2 evaluations); ``delta_frac`` origin offset
+    as a fraction of the per-coordinate data range; ``seed`` master seed for
+    the start jitter. The stopping tolerance of each start (``_REL_TOL``)
+    and the terms of the order-selection tie window (``_SELECT_TOL``,
+    ``_TIE_FLOOR_REL``, ``_TIE_SE_MULT``) are module constants.
     """
 
     n_starts: int = 20
     max_iters: int = 500
-    rel_tol: float = 1e-10
     delta_frac: float = 0.05
-    select_tol: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_starts", _as_int(self.n_starts, "n_starts", 1))
         object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1))
-        for name in ("rel_tol", "delta_frac", "select_tol"):
-            object.__setattr__(self, name, _as_finite_float(getattr(self, name), name))
-        if self.rel_tol <= 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        object.__setattr__(self, "delta_frac", _as_finite_float(self.delta_frac, "delta_frac"))
         if self.delta_frac <= 0.0:
             raise DomainError(f"delta_frac must be positive, got {self.delta_frac}")
-        if self.select_tol < 0.0:
-            raise DomainError(f"select_tol must be >= 0, got {self.select_tol}")
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
@@ -226,11 +223,12 @@ def choose_origin(X, delta_frac: float) -> np.ndarray:
         raise DomainError(f"X must be a nonempty (K, d) matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DomainError("X must be finite")
-    if not (float(delta_frac) > 0.0):
+    delta_frac = _as_finite_float(delta_frac, "delta_frac")
+    if delta_frac <= 0.0:
         raise DomainError(f"delta_frac must be positive, got {delta_frac}")
     mins = X.min(axis=0)
     ranges = X.max(axis=0) - mins
-    return mins - np.maximum(float(delta_frac) * ranges, 1e-6)
+    return mins - np.maximum(delta_frac * ranges, 1e-6)
 
 
 def rss(model: SteModel, data: Dataset) -> float:
@@ -245,7 +243,7 @@ def rss(model: SteModel, data: Dataset) -> float:
 
 def sigma2_mle(rss_value: float, K: int) -> float:
     """Maximum-likelihood residual variance: RSS / K."""
-    rss_value = float(rss_value)
+    rss_value = _as_finite_float(rss_value, "rss")
     if rss_value < 0.0:
         raise DomainError(f"rss must be >= 0, got {rss_value}")
     return rss_value / _as_int(K, "K", 1)
@@ -491,7 +489,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
                 v_start,
                 jac=jacobian,
                 method="trf",
-                ftol=cfg.rel_tol,
+                ftol=_REL_TOL,
                 xtol=_XTOL,
                 gtol=None,
                 max_nfev=budget,
@@ -507,9 +505,9 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
         model = unpack_params(v_best, m, data.d, x0)
         try:
             rss_value = rss(model, data)
-        except NumericRangeError:
+            sigma2 = sigma2_mle(rss_value, data.K)
+        except (NumericRangeError, DomainError):  # a prediction or the RSS overflows
             continue
-        sigma2 = sigma2_mle(rss_value, data.K)
         return FitResult(
             model=replace(model, sigma2=sigma2),
             rss=rss_value,
@@ -521,12 +519,10 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     raise FitFailure(f"all {cfg.n_starts} optimization starts failed for M={m}")
 
 
-def _tie_window_choice(
-    rss_by_m: Mapping[int, float], floor: float, K: int, select_tol: float
-) -> int:
+def _tie_window_choice(rss_by_m: Mapping[int, float], floor: float, K: int) -> int:
     """Smallest order whose RSS lies inside the tie window of ``rss_by_m``.
 
-    The window is RSS_M <= (1 + select_tol) * rss_min + floor + se, with
+    The window is RSS_M <= (1 + _SELECT_TOL) * rss_min + floor + se, with
     rss_min the best RSS in the table and se = 0.75 * sqrt(2K) * rss_min / K.
     The threshold never falls below ``floor`` and never rises when an entry
     is added, which is what makes the early exit in :func:`select_model`
@@ -534,20 +530,20 @@ def _tie_window_choice(
     """
     rss_min = min(rss_by_m.values())
     one_se = _TIE_SE_MULT * math.sqrt(2.0 * K) * (rss_min / K)
-    threshold = (1.0 + select_tol) * rss_min + floor + one_se
+    threshold = (1.0 + _SELECT_TOL) * rss_min + floor + one_se
     return min(m for m, value in rss_by_m.items() if value <= threshold)
 
 
 def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> SelectedFit:
     """Fit M = 1, 2, ... and choose the smallest M inside the RSS tie window.
 
-    The window is RSS_M <= (1 + select_tol) * rss_min + floor + se, with
-    rss_min the best RSS over the fitted orders, floor = 1e-8 * sum(y^2)
-    (resolves near-zero noiseless ties to the smallest M), and
-    se = 0.75 * sqrt(2K) * rss_min / K, the one-standard-error width of the
-    RSS statistic under the fitted noise level (RSS gaps below it carry no
-    evidence for extra components). Pass an explicit ``x0`` to override the
-    automatic origin rule.
+    The window is RSS_M <= (1 + _SELECT_TOL) * rss_min + floor + se, with
+    rss_min the best RSS over the fitted orders, floor = _TIE_FLOOR_REL *
+    sum(y^2) (resolves near-zero noiseless ties to the smallest M), and
+    se = _TIE_SE_MULT * sqrt(2K) * rss_min / K, the one-standard-error width
+    of the RSS statistic under the fitted noise level (RSS gaps below it
+    carry no evidence for extra components). The three module constants are
+    1e-3, 1e-8 and 0.75. Pass an explicit ``x0`` to override the origin rule.
 
     The scan stops after order m once the order chosen from the fits of
     1..m has RSS <= floor; the remaining orders are returned in ``skipped``.
@@ -572,7 +568,7 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
             failures[m] = str(exc)
             continue
         rss_by_m = {k: result.rss for k, result in per_m.items()}
-        chosen_m = _tie_window_choice(rss_by_m, floor, data.K, cfg.select_tol)
+        chosen_m = _tie_window_choice(rss_by_m, floor, data.K)
         if per_m[chosen_m].rss <= floor:
             break
     if not per_m:

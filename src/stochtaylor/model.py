@@ -109,6 +109,16 @@ def _as_int(value, name: str, minimum: int | None = None) -> int:
     raise DomainError(f"{name} must be {kind}, got {value!r}")
 
 
+def _rescale_factors(values, d: int) -> tuple[float, ...]:
+    """``values`` as d+1 finite, positive unit divisors (inputs first, output last)."""
+    factors = _as_float_tuple(values, "rescale")
+    if len(factors) != d + 1:
+        raise DomainError(f"rescale must have length d+1={d + 1}, got {len(factors)}")
+    if any(c <= 0.0 for c in factors):
+        raise DomainError(f"rescale factors must be positive, got {factors}")
+    return factors
+
+
 @dataclass(frozen=True)
 class ComponentParams:
     """Moments of one mixture component.
@@ -247,16 +257,8 @@ class SteModel(GeneralIntensity):
         object.__setattr__(self, "sigma2", _as_finite_float(self.sigma2, "sigma2"))
         if self.sigma2 < 0.0:
             raise DomainError(f"sigma2 must be >= 0, got {self.sigma2}")
-        rescale = self.rescale
-        if rescale is None:
-            rescale = (1.0,) * (self.d + 1)
-        object.__setattr__(self, "rescale", _as_float_tuple(rescale, "rescale"))
-        if len(self.rescale) != self.d + 1:
-            raise DomainError(
-                f"rescale must have length d+1={self.d + 1}, got {len(self.rescale)}"
-            )
-        if any(c <= 0.0 for c in self.rescale):
-            raise DomainError(f"rescale factors must be positive, got {self.rescale}")
+        rescale = (1.0,) * (self.d + 1) if self.rescale is None else self.rescale
+        object.__setattr__(self, "rescale", _rescale_factors(rescale, self.d))
 
 
 def power_moment(delta: float, mu: float, sigma: float) -> float:
@@ -450,20 +452,23 @@ def predict_grid(model: SteModel, grid) -> np.ndarray:
     return _mean_values(grid, model.x0, _stack_components(model.components))
 
 
+def _to_fitted_units(model: SteModel, points) -> np.ndarray:
+    """(N, d) points in original units (a sequence if d = 1) divided by ``rescale[:d]``."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or (pts.size and pts.shape[1] != model.d):
+        raise DomainError(f"points must be (N, {model.d}), got shape {pts.shape}")
+    return pts / np.asarray(model.rescale[: model.d], dtype=float)
+
+
 def predict_original_units(model: SteModel, points) -> np.ndarray:
     """Predictions for points given in original (pre-rescale) units.
 
     Inputs are divided by ``rescale[:d]`` before evaluation and the values
     multiplied by ``rescale[d]`` after, so callers never hand-scale.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or (pts.size and pts.shape[1] != model.d):
-        raise DomainError(f"points must be (N, {model.d}), got shape {pts.shape}")
-    scale_in = np.asarray(model.rescale[: model.d], dtype=float)
-    scaled = pts / scale_in
-    return predict_grid(model, scaled) * model.rescale[model.d]
+    return predict_grid(model, _to_fitted_units(model, points)) * model.rescale[model.d]
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +548,11 @@ _CSV_BLOCK_ROWS = 512
 def csv_text(header, columns) -> str:
     """CSV text: the header line, then row i holds entry i of every column.
 
-    Each cell is ``repr`` of a Python float, which reads back exactly.
+    Each cell is ``repr`` of the Python number of the column's dtype: an
+    integer column prints integers, a real column floats that read back
+    exactly.
     """
-    columns = [np.asarray(column, dtype=float) for column in columns]
+    columns = [np.asarray(column) for column in columns]
     blocks = [",".join(header)]
     for start in range(0, columns[0].shape[0], _CSV_BLOCK_ROWS):
         stop = start + _CSV_BLOCK_ROWS

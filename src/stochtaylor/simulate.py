@@ -30,6 +30,7 @@ from .errors import DomainError, NotSampleableError, NumericRangeError
 from .model import (
     ComponentParams,
     GeneralIntensity,
+    _as_finite_float,
     _as_int,
     _points,
     _stack_components,
@@ -127,6 +128,7 @@ class Envelope:
             if arr.shape != (n_points,):
                 raise DomainError(f"{name} must have shape ({n_points},), got {arr.shape}")
             arrays[name] = arr
+        object.__setattr__(self, "alpha", _as_finite_float(self.alpha, "alpha"))
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "n_real", _as_int(self.n_real, "n_real", 1))
@@ -311,9 +313,9 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
     (seed, stream_id).
     """
     pts = _points(grid, g.x0)
-    if not (0.0 < float(alpha) < 1.0):
+    alpha = _as_finite_float(alpha, "alpha")
+    if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    alpha = float(alpha)
     values = mc_values(g, pts, n_real, rng)
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
     lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")

@@ -10,11 +10,14 @@ import pytest
 
 from stochtaylor import (
     ComponentParams,
+    DataError,
+    RngStream,
     SteModel,
     UnderdeterminedWarning,
     evaluate,
     load_model,
     predict_grid,
+    sample_pattern,
     save_model,
 )
 from stochtaylor.bench import default_spec, spec_to_dict
@@ -82,6 +85,11 @@ class TestIngest:
 
         with pytest.raises(DataError):
             ingest(power_csv, rescale=(1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("factors", [(math.inf, 1.0), (math.nan, 1.0), (0.0, 1.0)])
+    def test_rejects_non_finite_or_non_positive_factor(self, power_csv, factors):
+        with pytest.raises(DataError, match="power.csv"):
+            ingest(power_csv, rescale=factors)
 
     def test_names_offending_row(self, tmp_path):
         from stochtaylor import DataError
@@ -296,6 +304,32 @@ class TestSimulateCommand:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exact_bytes(self, capsys, tmp_path, d):
+        # Rows are pattern index, event index, then repr of a and each power.
+        comps = tuple(
+            ComponentParams(mu_a, 0.3, (0.5 + mu_a,) * d, (0.2,) * d, (0.4,) * d)
+            for mu_a in (1.0, -0.5)[:d]
+        )
+        model = SteModel(d=d, components=comps, x0=(0.0,) * d)
+        model_path = os.path.join(tmp_path, "m.json")
+        save_model(model, model_path)
+        out = os.path.join(tmp_path, "sim.csv")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--model", model_path, "--n", "20", "--seed", "7", "--out", out
+        )
+        assert code == 0
+        lines = [",".join(["pattern", "event", "a"] + [f"n_{r + 1}" for r in range(d)])]
+        counts = []
+        for i in range(20):
+            pattern = sample_pattern(model, RngStream(7, i))
+            counts.append(pattern.count)
+            for j, event in enumerate(pattern.events):
+                lines.append(",".join([str(i), str(j)] + [repr(float(v)) for v in event]))
+        assert 0 in counts and max(counts) >= 2
+        with open(out, "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_rejects_nonpositive_n(self, capsys, tmp_path, toy_model_file):
         model_path, _ = toy_model_file
         out = os.path.join(tmp_path, "sim.csv")
@@ -429,6 +463,37 @@ class TestErrorContract:
         )
         assert code == 2
         assert json.loads(err)["error"] == "data"
+        assert not os.path.exists(out)
+
+    def test_infinite_rescale_is_data_error(self, capsys, tmp_path, power_csv):
+        out = os.path.join(tmp_path, "m.json")
+        code, _, err = run_cli(
+            capsys, "fit", "--input", power_csv, "--m-max", "1", "--rescale", "inf,1",
+            "--out", out,
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "data"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("reader", ["fit-input", "predict-model", "bench-spec", "distance-pred"])
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path, reader):
+        bad = os.path.join(tmp_path, "bad.txt")
+        with open(bad, "wb") as fh:
+            fh.write(b"\xff\xfex_1,y\n1.0,2.0\n")
+        out = os.path.join(tmp_path, "out")
+        argv = {
+            "fit-input": ["fit", "--input", bad, "--m-max", "1", "--out", out],
+            "predict-model": ["predict", "--model", bad, "--grid", "0.5:1:3", "--out", out],
+            "bench-spec": ["bench", "--spec", bad, "--out", out],
+            "distance-pred": ["distance", "--pred", bad, "--truth", bad, "--grid", "0:1:2"],
+        }[reader]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "data"
+        assert bad in error["message"]
         assert not os.path.exists(out)
 
     def test_overflowing_prediction_is_numeric_error(self, capsys, tmp_path):

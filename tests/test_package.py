@@ -1,5 +1,6 @@
 """The package namespace re-exports the submodules' public names, and every
-integer argument follows one rule."""
+integer argument, and every real argument read outside a config type, follows
+one rule."""
 
 import dataclasses
 
@@ -17,7 +18,9 @@ from stochtaylor import (
     GridSpec,
     PointPattern,
     RngStream,
+    choose_origin,
     default_spec,
+    envelope,
     fit_fixed_m,
     get_test_function,
     make_dataset,
@@ -81,5 +84,26 @@ def test_integer_arguments_share_one_rule(site):
             call(refused)
     want = call(3)
     for accepted in (np.int64(3), 3.0):
+        got = call(accepted)
+        assert got == want and type(got) is type(want)
+
+
+# Each site maps a real argument to what the call stores or returns for it.
+REAL_SITES = {
+    "choose_origin.delta_frac": lambda v: float(choose_origin([[1.0], [2.0]], v)[0]),
+    "sigma2_mle.rss": lambda v: sigma2_mle(v, 2),
+    "envelope.alpha": lambda v: envelope(INTENSITY_1D, [[1.5]], 4, v, RngStream(0)).alpha,
+    "Envelope.alpha": lambda v: Envelope(np.ones((1, 1)), [0.0], [0.0], [0.0], v, 1).alpha,
+}
+
+
+@pytest.mark.parametrize("site", sorted(REAL_SITES))
+def test_real_arguments_share_one_rule(site):
+    call = REAL_SITES[site]
+    for refused in (True, np.bool_(True), np.inf, np.nan, None, "x"):
+        with pytest.raises(DomainError):
+            call(refused)
+    want = call(0.5)
+    for accepted in (np.float64(0.5), "0.5"):
         got = call(accepted)
         assert got == want and type(got) is type(want)

@@ -376,8 +376,10 @@ def test_early_exit_picks_what_the_full_scan_picks(scan):
             raise FitFailure(f"all starts failed for M={m}")
         return results[m]
 
-    cfg = FitConfig(select_tol=select_tol)
-    with mock.patch.object(fit_mod, "fit_fixed_m", fake_fit_fixed_m):
+    cfg = FitConfig()
+    with mock.patch.object(fit_mod, "fit_fixed_m", fake_fit_fixed_m), mock.patch.object(
+        fit_mod, "_SELECT_TOL", select_tol
+    ):
         if not results:
             with pytest.raises(FitFailure):
                 select_model(data, len(table), cfg, x0=[0.0])
