@@ -21,7 +21,9 @@ import numpy as np
 from .errors import DataError, DomainError, FitFailure, NumericRangeError
 from .fit import Dataset, FitConfig, select_model
 from .metrics import GridSpec, integrated_sq_distance, l1_distance, shift_window_above
-from .model import _as_finite_float, _as_float_tuple, _as_int, atomic_write_text, predict_grid
+from .model import (
+    _as_finite_float, _as_float_tuple, _as_int, _point_matrix, atomic_write_text, predict_grid
+)
 from .rng import RngStream
 
 __all__ = [
@@ -72,9 +74,7 @@ class TestFunction:
     max_iters: int | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _point_matrix(points, self.d)
         values = np.asarray(self.fn(pts), dtype=float).reshape(-1)
         if values.shape[0] != pts.shape[0]:
             raise DomainError(f"test function {self.id} returned a wrong-length vector")
@@ -223,10 +223,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         fn = get_test_function(self.function)
         for name in ("fit_lower", "fit_upper", "eval_lower", "eval_upper"):
-            value = _as_float_tuple(getattr(self, name), name)
-            if len(value) != fn.d:
-                raise DomainError(f"{name} must have length d={fn.d}, got {len(value)}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _as_float_tuple(getattr(self, name), name, fn.d))
         if any(lo >= hi for lo, hi in zip(self.fit_lower, self.fit_upper)):
             raise DomainError("fit window must have lower < upper")
         if any(lo >= hi for lo, hi in zip(self.eval_lower, self.eval_upper)):
@@ -252,9 +249,7 @@ class ExperimentSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
         if self.x0 is not None:
-            object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0"))
-            if len(self.x0) != fn.d:
-                raise DomainError(f"x0 must have length d={fn.d}, got {len(self.x0)}")
+            object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0", fn.d))
 
     @property
     def d(self) -> int:
@@ -329,9 +324,10 @@ class ExperimentReport:
         return sum(1 for rec in self.per_seed if rec.error is not None)
 
 
-# The per-seed fields of the medians and of the report columns, in report
-# order. Timing is last: an untimed report drops it.
+# The per-seed fields of the medians, in report order. Timing is last, and
+# the report files leave it out.
 _MEDIAN_FIELDS = ("chosen_m", "rss", "sigma2_hat", "d_sq", "d_l1", "wall_time_s")
+_REPORT_FIELDS = _MEDIAN_FIELDS[:-1]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -480,43 +476,32 @@ def _cell(value) -> str:
     return str(value) if isinstance(value, int) else repr(float(value))
 
 
-def report_to_csv(report: ExperimentReport, include_timing: bool = True) -> str:
-    """One row per seed plus a median row.
+def report_to_csv(report: ExperimentReport) -> str:
+    """One row per seed plus a median row, without the wall-time column.
 
-    ``include_timing=False`` drops the wall-time column, making the text a
-    pure function of (spec, seed); command-line report files are written in
-    that deterministic form.
+    The text is a pure function of (spec, seed): timing stays in
+    ``ExperimentReport``, out of the report files.
     """
-    fields = _MEDIAN_FIELDS if include_timing else _MEDIAN_FIELDS[:-1]
-    lines = [",".join(["seed", *fields, "error"])]
+    lines = [",".join(["seed", *_REPORT_FIELDS, "error"])]
     for rec in report.per_seed:
         error = "" if rec.error is None else rec.error.replace(",", ";")
-        cells = [_cell(getattr(rec, name)) for name in fields]
+        cells = [_cell(getattr(rec, name)) for name in _REPORT_FIELDS]
         lines.append(",".join([str(rec.seed_index), *cells, error]))
-    medians = [repr(float(report.medians[name])) for name in fields]
+    medians = [repr(float(report.medians[name])) for name in _REPORT_FIELDS]
     lines.append(",".join(["median", *medians, ""]))
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: ExperimentReport, include_timing: bool = True) -> str:
-    def rec_doc(rec: SeedRecord) -> dict:
-        doc = asdict(rec)
-        wall_time_s = doc.pop("wall_time_s")
-        if include_timing:
-            doc["wall_time_s"] = wall_time_s
-        return doc
-
-    medians = dict(report.medians)
-    if not include_timing:
-        medians.pop("wall_time_s", None)
-    doc = {
-        "spec": spec_to_dict(report.spec),
-        "per_seed": [rec_doc(rec) for rec in report.per_seed],
-        "medians": medians,
-    }
+def report_to_json(report: ExperimentReport) -> str:
+    """The spec, the per-seed records and the medians, without wall times."""
+    records = [asdict(rec) for rec in report.per_seed]
+    for doc in records:
+        del doc["wall_time_s"]
+    medians = {name: report.medians[name] for name in _REPORT_FIELDS}
+    doc = {"spec": spec_to_dict(report.spec), "per_seed": records, "medians": medians}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_report(report: ExperimentReport, csv_path: str, json_path: str, include_timing: bool = True) -> None:
-    atomic_write_text(csv_path, report_to_csv(report, include_timing))
-    atomic_write_text(json_path, report_to_json(report, include_timing))
+def write_report(report: ExperimentReport, csv_path: str, json_path: str) -> None:
+    atomic_write_text(csv_path, report_to_csv(report))
+    atomic_write_text(json_path, report_to_json(report))

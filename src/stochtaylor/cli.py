@@ -261,7 +261,7 @@ def _cmd_bench(args) -> int:
         stem = f"{spec.function}_K{spec.K}"
         csv_path = os.path.join(args.out, stem + ".csv")
         json_path = os.path.join(args.out, stem + ".json")
-        write_report(report, csv_path, json_path, include_timing=False)
+        write_report(report, csv_path, json_path)
         med = report.medians
         print(
             f"{spec.function} K={spec.K}: chosen_m={med['chosen_m']:g} "

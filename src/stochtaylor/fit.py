@@ -38,9 +38,11 @@ from .model import (
     ComponentParams,
     SteModel,
     _as_finite_float,
+    _as_float_array,
     _as_float_tuple,
     _as_int,
     _mean_values,
+    _point_matrix,
     _points,
     _stack_components,
     evaluate,  # noqa: F401 -- a module attribute that perfbench/spans.py patches
@@ -117,11 +119,9 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        X = _point_matrix(self.X, name="X")
+        y = _as_float_array(self.y, "y").reshape(-1)
+        if X.shape[0] < 1 or X.shape[1] < 1:
             raise DomainError(f"X must be a (K, d) matrix with K, d >= 1, got shape {X.shape}")
         if y.shape[0] != X.shape[0]:
             raise DomainError(f"y has length {y.shape[0]} but X has {X.shape[0]} rows")
@@ -216,10 +216,8 @@ def choose_origin(X, delta_frac: float) -> np.ndarray:
     A zero per-coordinate range falls back to the absolute 1e-6 offset, so
     every shift X[k][r] - x0[r] is strictly positive.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] < 1:
+    X = _point_matrix(X, name="X")
+    if X.shape[0] < 1:
         raise DomainError(f"X must be a nonempty (K, d) matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DomainError("X must be finite")
@@ -277,7 +275,7 @@ def _split_params(V: np.ndarray, d: int):
 
 def _param_vector(v, m: int, d: int) -> np.ndarray:
     """v as a float vector, checked to hold M components of width 3d+2."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = _as_float_array(v, "parameter vector").reshape(-1)
     expected = m * params_width(d)
     if v.shape[0] != expected:
         raise DomainError(
@@ -290,9 +288,7 @@ def _param_vector(v, m: int, d: int) -> np.ndarray:
 def _log_offsets(data: Dataset, m: int, x0) -> tuple[int, np.ndarray, np.ndarray]:
     """Checked M and origin, and the log offsets log(X - x0) of an M-component fit."""
     m = _as_int(m, "M", 1)
-    x0 = np.asarray(_as_float_tuple(x0, "x0"))
-    if x0.shape[0] != data.d:
-        raise DomainError(f"x0 must have length d={data.d}, got {x0.shape[0]}")
+    x0 = np.asarray(_as_float_tuple(x0, "x0", data.d))
     return m, x0, np.log(_points(data.X, x0) - x0)
 
 

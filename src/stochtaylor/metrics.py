@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import _as_float_tuple, _as_int
+from .model import _as_float_array, _as_float_tuple, _as_int
 
 __all__ = [
     "GridSpec",
@@ -34,13 +34,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         lower = _as_float_tuple(self.lower, "lower")
-        upper = _as_float_tuple(self.upper, "upper")
+        if not lower:
+            raise DomainError("lower must be nonempty")
+        upper = _as_float_tuple(self.upper, "upper", len(lower))
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if len(lower) != len(upper) or not lower:
-            raise DomainError(
-                f"lower and upper must be nonempty and share length, got {lower}, {upper}"
-            )
         if any(lo >= hi for lo, hi in zip(lower, upper)):
             raise DomainError(f"need lower < upper per coordinate, got {lower}, {upper}")
         points_per_dim = _as_int(self.points_per_dim, "points_per_dim", 2)
@@ -90,8 +88,8 @@ def trapezoid_weights(grid: GridSpec) -> np.ndarray:
 
 
 def _check_values(f_hat, f_true, grid: GridSpec) -> np.ndarray:
-    a = np.asarray(f_hat, dtype=float).reshape(-1)
-    b = np.asarray(f_true, dtype=float).reshape(-1)
+    a = _as_float_array(f_hat, "f_hat").reshape(-1)
+    b = _as_float_array(f_true, "f_true").reshape(-1)
     if a.shape != b.shape:
         raise DomainError(f"value vectors must match, got lengths {a.size} and {b.size}")
     if a.size != grid.n_points:
@@ -123,9 +121,7 @@ def shift_window_above(grid: GridSpec, x0) -> GridSpec:
     that starts exactly at the origin would place its first grid point on
     ln(0). Axes already strictly above x0 are unchanged.
     """
-    x0_t = _as_float_tuple(x0, "x0")
-    if len(x0_t) != grid.d:
-        raise DomainError(f"x0 must have length {grid.d}, got {len(x0_t)}")
+    x0_t = _as_float_tuple(x0, "x0", grid.d)
     steps = grid.steps()
     new_lower = tuple(
         lo + h if lo <= origin else lo

@@ -21,8 +21,11 @@ depend on the other points of the call. The optimizer's objective
 d with matrix products, which are several times faster on its fixed
 (K, d) blocks than elementwise sums, and a fit needs no row-independence.
 
-Evaluation points are plain float sequences; the strict requirement
-x[r] > x0[r] is enforced at every call, and errors name the offending row.
+Points follow one rule everywhere (:func:`_point_matrix`): an (N, d)
+array-like, where a 1-D sequence is a column of points (d = 1); any other
+shape, or an entry that is not a real number, is a DomainError. The strict
+requirement x[r] > x0[r] is enforced at every evaluation, and errors name
+the offending row.
 
 Overflow policy:
 
@@ -86,13 +89,38 @@ def _as_finite_float(value, name: str) -> float:
     return out
 
 
-def _as_float_tuple(values, name: str) -> tuple[float, ...]:
-    """``values`` as a tuple of finite floats, each read by :func:`_as_finite_float`."""
+def _as_float_tuple(values, name: str, length: int | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of :func:`_as_finite_float` reals, ``length`` long if given."""
     try:
         values = tuple(values)
     except TypeError as exc:
         raise DomainError(f"{name} must be a sequence of reals") from exc
+    if length is not None and len(values) != length:
+        raise DomainError(f"{name} must have length {length}, got {len(values)}")
     return tuple(_as_finite_float(v, name) for v in values)
+
+
+def _as_float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; an entry that is not a real number is a DomainError."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be real numbers") from exc
+
+
+def _point_matrix(points, d: int | None = None, name: str = "points") -> np.ndarray:
+    """``points`` as an (N, d) float array; with ``d`` None, any width.
+
+    A 1-D array is a column of points (d = 1; an empty one has width d);
+    any other shape is a DomainError. Entries are not checked for
+    finiteness or domain here.
+    """
+    pts = _as_float_array(points, name)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, d if d and not pts.size else 1)
+    if pts.ndim != 2 or (d is not None and pts.shape[1] != d):
+        raise DomainError(f"{name} must be (N, {d or 'd'}), got shape {pts.shape}")
+    return pts
 
 
 def _as_int(value, name: str, minimum: int | None = None) -> int:
@@ -111,9 +139,7 @@ def _as_int(value, name: str, minimum: int | None = None) -> int:
 
 def _rescale_factors(values, d: int) -> tuple[float, ...]:
     """``values`` as d+1 finite, positive unit divisors (inputs first, output last)."""
-    factors = _as_float_tuple(values, "rescale")
-    if len(factors) != d + 1:
-        raise DomainError(f"rescale must have length d+1={d + 1}, got {len(factors)}")
+    factors = _as_float_tuple(values, "rescale", d + 1)
     if any(c <= 0.0 for c in factors):
         raise DomainError(f"rescale factors must be positive, got {factors}")
     return factors
@@ -139,16 +165,11 @@ class ComponentParams:
         object.__setattr__(self, "mu_a", _as_finite_float(self.mu_a, "mu_a"))
         object.__setattr__(self, "sigma_a", _as_finite_float(self.sigma_a, "sigma_a"))
         object.__setattr__(self, "mu_n", _as_float_tuple(self.mu_n, "mu_n"))
-        object.__setattr__(self, "sigma_n", _as_float_tuple(self.sigma_n, "sigma_n"))
-        object.__setattr__(self, "rho", _as_float_tuple(self.rho, "rho"))
         d = len(self.mu_n)
         if d < 1:
             raise DomainError("mu_n must have at least one entry")
-        if len(self.sigma_n) != d or len(self.rho) != d:
-            raise DomainError(
-                f"mu_n, sigma_n, rho must share length, got {d}, "
-                f"{len(self.sigma_n)}, {len(self.rho)}"
-            )
+        object.__setattr__(self, "sigma_n", _as_float_tuple(self.sigma_n, "sigma_n", d))
+        object.__setattr__(self, "rho", _as_float_tuple(self.rho, "rho", d))
         if self.sigma_a < 0.0:
             raise DomainError(f"sigma_a must be >= 0, got {self.sigma_a}")
         if any(s < 0.0 for s in self.sigma_n):
@@ -192,9 +213,7 @@ class GeneralIntensity:
             if c.d != self.d:
                 raise DomainError(f"component {i} has dimension {c.d}, expected {self.d}")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0"))
-        if len(self.x0) != self.d:
-            raise DomainError(f"x0 must have length d={self.d}, got {len(self.x0)}")
+        object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0", self.d))
         object.__setattr__(self, "lam", _as_finite_float(self.lam, "lam"))
         if self.lam <= 0.0:
             raise DomainError(f"lam must be > 0, got {self.lam}")
@@ -306,22 +325,14 @@ _BLOCK_ROWS = 512
 
 
 def _points(points, x0) -> np.ndarray:
-    """``points`` as an (N, d) float array, each row finite and strictly above x0.
+    """``points`` read by :func:`_point_matrix`, each row finite and strictly above x0.
 
-    A 1-D array is a column of points (d = 1). Raises DomainError naming the
-    first row whose offset x - x0 is not finite and positive. Rows are checked
-    one block at a time, so no grid-sized array of offsets is made.
+    Raises DomainError naming the first row whose offset x - x0 is not finite
+    and positive. Rows are checked one block at a time, so no grid-sized
+    array of offsets is made.
     """
     x0 = np.asarray(x0, dtype=float)
-    d = x0.shape[0]
-    try:
-        pts = np.asarray(points, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError("points must be real numbers") from exc
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1) if pts.size else pts.reshape(0, d)
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise DomainError(f"points must be (N, {d}), got shape {pts.shape}")
+    pts = _point_matrix(points, x0.shape[0])
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
         delta = pts[start : start + _BLOCK_ROWS] - x0
         ok = (np.isfinite(delta) & (delta > 0.0)).all(axis=1)
@@ -453,13 +464,8 @@ def predict_grid(model: SteModel, grid) -> np.ndarray:
 
 
 def _to_fitted_units(model: SteModel, points) -> np.ndarray:
-    """(N, d) points in original units (a sequence if d = 1) divided by ``rescale[:d]``."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or (pts.size and pts.shape[1] != model.d):
-        raise DomainError(f"points must be (N, {model.d}), got shape {pts.shape}")
-    return pts / np.asarray(model.rescale[: model.d], dtype=float)
+    """Points in original units, read by :func:`_point_matrix`, divided by ``rescale[:d]``."""
+    return _point_matrix(points, model.d) / np.asarray(model.rescale[: model.d])
 
 
 def predict_original_units(model: SteModel, points) -> np.ndarray:

@@ -31,7 +31,10 @@ from .model import (
     ComponentParams,
     GeneralIntensity,
     _as_finite_float,
+    _as_float_array,
+    _as_float_tuple,
     _as_int,
+    _point_matrix,
     _points,
     _stack_components,
     csv_text,
@@ -75,7 +78,7 @@ class PointPattern:
     d: int
 
     def __post_init__(self) -> None:
-        ev = np.asarray(self.events, dtype=float)
+        ev = _as_float_array(self.events, "events")
         object.__setattr__(self, "d", _as_int(self.d, "d", 1))
         if ev.ndim != 2 or ev.shape[1] != self.d + 1:
             raise DomainError(
@@ -100,6 +103,14 @@ class PointPattern:
         return self.events[:, 1:]
 
 
+def _alpha(value) -> float:
+    """``value`` as a band's tail probability alpha: a finite real inside (0, 1)."""
+    alpha = _as_finite_float(value, "alpha")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Pointwise empirical quantile band over shared realizations.
@@ -118,19 +129,15 @@ class Envelope:
     n_real: int
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 2:
-            raise DomainError(f"grid must be (N, d), got shape {grid.shape}")
+        grid = _point_matrix(self.grid, name="grid")
         n_points = grid.shape[0]
         arrays = {}
         for name in ("lower", "upper", "mean"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _as_float_array(getattr(self, name), name)
             if arr.shape != (n_points,):
                 raise DomainError(f"{name} must have shape ({n_points},), got {arr.shape}")
             arrays[name] = arr
-        object.__setattr__(self, "alpha", _as_finite_float(self.alpha, "alpha"))
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         object.__setattr__(self, "n_real", _as_int(self.n_real, "n_real", 1))
         if np.any(arrays["lower"] > arrays["upper"]):
             raise DomainError("lower must not exceed upper anywhere")
@@ -222,9 +229,7 @@ def ste_realization(pattern: PointPattern, x, x0) -> float:
     Empty patterns evaluate to 0. Requires x and x0 of the pattern's
     dimension and x strictly above x0; overflow raises NumericRangeError.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != pattern.d:
-        raise DomainError(f"x0 must have length d={pattern.d}, got {x0.shape[0]}")
+    x0 = np.asarray(_as_float_tuple(x0, "x0", pattern.d))
     delta = _points([x], x0) - x0
     if pattern.count == 0:
         return 0.0
@@ -310,12 +315,11 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
 
     Quantiles are nearest-rank (inverted CDF) over n_real shared realizations;
     each realization is evaluated across the entire grid. Deterministic per
-    (seed, stream_id).
+    (seed, stream_id). The grid's rows are checked against the origin by
+    :func:`mc_values`.
     """
-    pts = _points(grid, g.x0)
-    alpha = _as_finite_float(alpha, "alpha")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    pts = _point_matrix(grid, g.d)
+    alpha = _alpha(alpha)
     values = mc_values(g, pts, n_real, rng)
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
     lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")

@@ -253,12 +253,8 @@ class TestRunExperiment:
                 b.d_sq,
                 b.d_l1,
             )
-        assert report_to_csv(r1, include_timing=False) == report_to_csv(
-            r2, include_timing=False
-        )
-        assert report_to_json(r1, include_timing=False) == report_to_json(
-            r2, include_timing=False
-        )
+        assert report_to_csv(r1) == report_to_csv(r2)
+        assert report_to_json(r1) == report_to_json(r2)
 
     def test_noiseless_identity_picks_one_component_every_seed(self):
         spec = tiny_spec(sigma=0.0, K=60, n_starts=4, max_iters=400)
@@ -269,7 +265,7 @@ class TestRunExperiment:
 
     def test_csv_report_layout(self):
         report = self.run_tiny()
-        lines = report_to_csv(report, include_timing=False).strip().split("\n")
+        lines = report_to_csv(report).strip().split("\n")
         header = lines[0].split(",")
         assert header[0] == "seed"
         assert "chosen_m" in header and "d_sq" in header and "d_l1" in header
@@ -277,14 +273,9 @@ class TestRunExperiment:
         assert lines[-1].startswith("median")
         assert len(lines) == 1 + len(report.per_seed) + 1
 
-    def test_timing_column_is_optional(self):
-        report = self.run_tiny()
-        header = report_to_csv(report, include_timing=True).split("\n")[0]
-        assert "wall_time_s" in header
-
     def test_json_report_parses(self):
         report = self.run_tiny()
-        doc = json.loads(report_to_json(report, include_timing=False))
+        doc = json.loads(report_to_json(report))
         assert doc["spec"]["function"] == "identity"
         assert len(doc["per_seed"]) == 2
         assert "d_sq" in doc["medians"]
@@ -293,9 +284,9 @@ class TestRunExperiment:
         report = self.run_tiny()
         csv_path = os.path.join(tmp_path, "r.csv")
         json_path = os.path.join(tmp_path, "r.json")
-        write_report(report, csv_path, json_path, include_timing=False)
+        write_report(report, csv_path, json_path)
         with open(csv_path, encoding="utf-8") as fh:
-            assert fh.read() == report_to_csv(report, include_timing=False)
+            assert fh.read() == report_to_csv(report)
         with open(json_path, encoding="utf-8") as fh:
             json.load(fh)
 
@@ -355,23 +346,15 @@ class TestReportFormat:
         return ExperimentReport(spec=spec, per_seed=(ok, failed), medians=medians)
 
     def test_csv_without_timing(self):
-        assert report_to_csv(self.hand_report(), include_timing=False) == (
+        assert report_to_csv(self.hand_report()) == (
             "seed,chosen_m,rss,sigma2_hat,d_sq,d_l1,error\n"
             "0,1,0.25,0.125,1e-06,0.001,\n"
             "1,,,,,,FitFailure: no start converged; M=1\n"
             "median,1.0,0.25,0.125,1e-06,0.001,\n"
         )
 
-    def test_csv_with_timing(self):
-        assert report_to_csv(self.hand_report(), include_timing=True) == (
-            "seed,chosen_m,rss,sigma2_hat,d_sq,d_l1,wall_time_s,error\n"
-            "0,1,0.25,0.125,1e-06,0.001,1.5,\n"
-            "1,,,,,,0.75,FitFailure: no start converged; M=1\n"
-            "median,1.0,0.25,0.125,1e-06,0.001,1.125,\n"
-        )
-
     def test_json_without_timing(self):
-        assert report_to_json(self.hand_report(), include_timing=False) == "{\n" + _HAND_SPEC_JSON + """\
+        assert report_to_json(self.hand_report()) == "{\n" + _HAND_SPEC_JSON + """\
   "per_seed": [
     {
       "seed_index": 0,
@@ -398,41 +381,6 @@ class TestReportFormat:
     "sigma2_hat": 0.125,
     "d_sq": 1e-06,
     "d_l1": 0.001
-  }
-}
-"""
-
-    def test_json_with_timing(self):
-        assert report_to_json(self.hand_report(), include_timing=True) == "{\n" + _HAND_SPEC_JSON + """\
-  "per_seed": [
-    {
-      "seed_index": 0,
-      "chosen_m": 1,
-      "rss": 0.25,
-      "sigma2_hat": 0.125,
-      "d_sq": 1e-06,
-      "d_l1": 0.001,
-      "error": null,
-      "wall_time_s": 1.5
-    },
-    {
-      "seed_index": 1,
-      "chosen_m": null,
-      "rss": null,
-      "sigma2_hat": null,
-      "d_sq": null,
-      "d_l1": null,
-      "error": "FitFailure: no start converged, M=1",
-      "wall_time_s": 0.75
-    }
-  ],
-  "medians": {
-    "chosen_m": 1.0,
-    "rss": 0.25,
-    "sigma2_hat": 0.125,
-    "d_sq": 1e-06,
-    "d_l1": 0.001,
-    "wall_time_s": 1.125
   }
 }
 """
