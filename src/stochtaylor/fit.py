@@ -13,10 +13,14 @@ RSS lands inside a tie window around the best RSS (raw argmin would nearly
 always return M_max, since RSS is nonincreasing in M for a capable
 optimizer); the window combines a relative term and an absolute floor with
 the one-standard-error width of the RSS statistic itself, so orders that
-only chase noise do not displace smaller ones. The scan stops early, and
-exactly, once the order chosen so far has RSS at or below the floor: the
-window can then only shrink towards the floor, so no later order can change
-the choice. Orders never fitted are reported as skipped.
+only chase noise do not displace smaller ones. The scan stops at the first
+of two stops. The floor stop is exact: once the order chosen so far has RSS
+at or below the floor, the window can only shrink towards the floor, so no
+later order can change the choice. The margin stop ends the scan three
+orders past the order chosen so far; on noisy data, where the floor stop
+never fires, it skips the costliest orders, and a skipped order could have
+moved the choice. Orders never fitted are reported as skipped, with the stop
+that skipped them.
 
 Everything is deterministic given (data, config including seed).
 """
@@ -97,6 +101,10 @@ _REL_TOL = 1e-10
 _SELECT_TOL = 1e-3
 _TIE_FLOOR_REL = 1e-8
 _TIE_SE_MULT = 0.75
+# The scan stops once it has tried this many orders past the order chosen so
+# far. A margin of 2 breaks criterion 6's K=25 -> 100 trend on trig_mix at
+# master seed 0.
+_SCAN_MARGIN = 3
 
 # Multi-start jitter: start s perturbs the anchor by N(0, scale(s)^2) with
 # scale growing linearly and capped, balancing local refinement against
@@ -151,9 +159,10 @@ class FitConfig:
     function-evaluation budget per model order, split evenly across starts
     (each start gets at least 2 evaluations); ``delta_frac`` origin offset
     as a fraction of the per-coordinate data range; ``seed`` master seed for
-    the start jitter. The stopping tolerance of each start (``_REL_TOL``)
-    and the terms of the order-selection tie window (``_SELECT_TOL``,
-    ``_TIE_FLOOR_REL``, ``_TIE_SE_MULT``) are module constants.
+    the start jitter. The stopping tolerance of each start (``_REL_TOL``),
+    the terms of the order-selection tie window (``_SELECT_TOL``,
+    ``_TIE_FLOOR_REL``, ``_TIE_SE_MULT``) and the scan's margin
+    (``_SCAN_MARGIN``) are module constants.
     """
 
     n_starts: int = 20
@@ -188,9 +197,11 @@ class SelectedFit:
 
     ``per_m`` maps each successfully fitted M to its FitResult (so
     ``per_m[chosen_m] is chosen``); M values whose every start failed appear
-    in ``failures`` instead, and the orders the early exit never fitted in
+    in ``failures`` instead, and the orders never fitted, because the floor
+    stop or the margin stop of :func:`select_model` ended the scan, in
     ``skipped`` (ascending). The three are disjoint and together cover
-    1..M_max.
+    1..M_max. ``stopped_by`` names that stop, ``"floor"`` or ``"margin"``,
+    and is None exactly when nothing was skipped.
     """
 
     per_m: Mapping[int, FitResult]
@@ -198,6 +209,7 @@ class SelectedFit:
     chosen: FitResult
     failures: Mapping[int, str]
     skipped: tuple[int, ...] = ()
+    stopped_by: str | None = None
 
     def __post_init__(self) -> None:
         if self.chosen_m not in self.per_m or self.per_m[self.chosen_m] is not self.chosen:
@@ -207,6 +219,12 @@ class SelectedFit:
             raise DomainError(
                 "per_m, failures and skipped must partition the orders 1..M_max, got "
                 f"{sorted(self.per_m)}, {sorted(self.failures)} and {list(self.skipped)}"
+            )
+        allowed = ("floor", "margin") if self.skipped else (None,)
+        if self.stopped_by not in allowed:
+            raise DomainError(
+                f"stopped_by must be one of {allowed} with skipped {list(self.skipped)}, "
+                f"got {self.stopped_by!r}"
             )
 
 
@@ -521,8 +539,9 @@ def _tie_window_choice(rss_by_m: Mapping[int, float], floor: float, K: int) -> i
     The window is RSS_M <= (1 + _SELECT_TOL) * rss_min + floor + se, with
     rss_min the best RSS in the table and se = 0.75 * sqrt(2K) * rss_min / K.
     The threshold never falls below ``floor`` and never rises when an entry
-    is added, which is what makes the early exit in :func:`select_model`
-    exact.
+    is added, which is what makes the floor stop in :func:`select_model`
+    exact. Nothing bounds how far a later entry can lower it, which is why
+    the margin stop is not exact.
     """
     rss_min = min(rss_by_m.values())
     one_se = _TIE_SE_MULT * math.sqrt(2.0 * K) * (rss_min / K)
@@ -541,15 +560,24 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
     carry no evidence for extra components). The three module constants are
     1e-3, 1e-8 and 0.75. Pass an explicit ``x0`` to override the origin rule.
 
-    The scan stops after order m once the order chosen from the fits of
-    1..m has RSS <= floor; the remaining orders are returned in ``skipped``.
-    The choice is the one a scan of all M_max orders would make: further
-    orders can only lower rss_min, so the threshold only falls, yet never
-    below the floor. The chosen order stays inside the window and every
-    smaller order stays outside it, whatever the later orders return. The
-    simpler rule "stop at the first M with RSS_M <= floor" is not exact:
-    with RSS_1 = 1.5*floor and RSS_2 = 0.5*floor the choice between them
-    still depends on the later orders.
+    Call c the order chosen from the orders tried so far. After order m has
+    been tried (fitted or failed), the scan stops at the first of two stops
+    that holds; the orders after m are returned in ``skipped`` and the stop
+    in ``stopped_by``:
+
+    * floor: c has RSS <= floor. This stop is exact: the choice is the one a
+      scan of all M_max orders would make. Further orders can only lower
+      rss_min, so the threshold only falls, yet never below the floor. The
+      chosen order stays inside the window and every smaller order stays
+      outside it, whatever the later orders return. The simpler rule "stop
+      at the first M with RSS_M <= floor" is not exact: with RSS_1 =
+      1.5*floor and RSS_2 = 0.5*floor the choice between them still depends
+      on the later orders.
+    * margin: m >= c + _SCAN_MARGIN, with _SCAN_MARGIN = 3. On noisy data
+      RSS never reaches the floor, and the orders far above the choice are
+      the costliest to fit. This stop is not exact: a skipped order with an
+      RSS far below the others' would have lowered the threshold and could
+      have moved the choice up.
     """
     m_max = _as_int(m_max, "M_max", 1)
     if x0 is None:
@@ -557,15 +585,21 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
     floor = _TIE_FLOOR_REL * float(data.y @ data.y)
     per_m: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
+    chosen_m = stopped_by = None
     for m in range(1, m_max + 1):
         try:
             per_m[m] = fit_fixed_m(data, m, cfg, x0)
         except FitFailure as exc:
             failures[m] = str(exc)
+        else:
+            chosen_m = _tie_window_choice({k: r.rss for k, r in per_m.items()}, floor, data.K)
+        if chosen_m is None or m == m_max:
             continue
-        rss_by_m = {k: result.rss for k, result in per_m.items()}
-        chosen_m = _tie_window_choice(rss_by_m, floor, data.K)
         if per_m[chosen_m].rss <= floor:
+            stopped_by = "floor"
+        elif m >= chosen_m + _SCAN_MARGIN:
+            stopped_by = "margin"
+        if stopped_by:
             break
     if not per_m:
         raise FitFailure(
@@ -578,6 +612,7 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
         chosen=per_m[chosen_m],
         failures=failures,
         skipped=tuple(range(m + 1, m_max + 1)),
+        stopped_by=stopped_by,
     )
 
 
@@ -596,7 +631,9 @@ def selected_fit_to_dict(sel: SelectedFit) -> dict:
     """Model document plus fit metadata (chosen M, RSS table, diagnostics).
 
     ``per_m_rss`` lists every order 1..M_max; a failed or skipped order
-    reads null and is named in ``failures`` or ``skipped``.
+    reads null and is named in ``failures`` or ``skipped``. ``stopped_by``
+    names the stop that skipped orders (``"floor"`` or ``"margin"``), or is
+    null when every order was tried.
     """
     m_max = len(sel.per_m) + len(sel.failures) + len(sel.skipped)
     doc = model_to_dict(sel.chosen.model)
@@ -611,5 +648,6 @@ def selected_fit_to_dict(sel: SelectedFit) -> dict:
         },
         "failures": {str(m): msg for m, msg in sorted(sel.failures.items())},
         "skipped": list(sel.skipped),
+        "stopped_by": sel.stopped_by,
     }
     return doc

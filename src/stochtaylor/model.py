@@ -23,9 +23,9 @@ d with matrix products, which are several times faster on its fixed
 
 Points follow one rule everywhere (:func:`_point_matrix`): an (N, d)
 array-like, where a 1-D sequence is a column of points (d = 1); any other
-shape, or an entry that is not a real number, is a DomainError. The strict
-requirement x[r] > x0[r] is enforced at every evaluation, and errors name
-the offending row.
+shape, or an entry that is not a real number (a boolean is not one), is a
+DomainError. The strict requirement x[r] > x0[r] is enforced at every
+evaluation, and errors name the offending row.
 
 Overflow policy:
 
@@ -101,8 +101,17 @@ def _as_float_tuple(values, name: str, length: int | None = None) -> tuple[float
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array; an entry that is not a real number is a DomainError."""
+    """``values`` as a float array; an entry that is not a real number is a DomainError.
+
+    A boolean is not a real number here, also inside a mixed list that
+    NumPy would turn into a float array. A float64 ndarray is returned
+    without a copy.
+    """
     try:
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+            entries = np.asarray(values, dtype=object).flat
+            if any(isinstance(v, (bool, np.bool_)) for v in entries):
+                raise TypeError(f"{name} holds a boolean")
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be real numbers") from exc

@@ -14,6 +14,7 @@ from stochtaylor import (
     DomainError,
     FitConfig,
     FitFailure,
+    FitResult,
     RngStream,
     SelectedFit,
     UnderdeterminedWarning,
@@ -257,6 +258,18 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(np.empty((0, 1)), np.empty(0))
 
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            ([[True], [np.True_]], [True, False]),
+            (np.array([[1.0], [2.0]]), np.array([True, False])),
+            ([[1.0], [True]], [1.0, 2.0]),
+        ],
+    )
+    def test_rejects_booleans(self, X, y):
+        with pytest.raises(DomainError, match="must be real numbers"):
+            Dataset(X, y)
+
 
 class TestFitConfig:
     def test_defaults(self):
@@ -373,6 +386,26 @@ class TestFitFixedM:
             objective_value(pack_params(random_model(3, 1, 1)), data, True, [0.0])
 
 
+# Noisy-style data: K=100 ones, so the tie floor is 1e-6 and RSS near 100
+# never reaches it.
+NOISY_STYLE = Dataset(np.linspace(1.0, 2.0, 100)[:, None], np.ones(100))
+
+
+def stub_rss_table(monkeypatch, table) -> list:
+    """Make fit_fixed_m return RSS table[m-1] (None: every start fails); returns the orders tried."""
+    model = from_taylor_polynomial((1.0,), 0.0)
+    tried = []
+
+    def fake_fit_fixed_m(data, m, cfg, x0):
+        tried.append(m)
+        if table[m - 1] is None:
+            raise FitFailure(f"all starts failed for M={m}")
+        return FitResult(model, table[m - 1], table[m - 1] / data.K, 1, 0)
+
+    monkeypatch.setattr(fit_mod, "fit_fixed_m", fake_fit_fixed_m)
+    return tried
+
+
 class TestSelectModel:
     def test_rejects_boolean_m_max(self):
         with pytest.raises(DomainError):
@@ -406,6 +439,7 @@ class TestSelectModel:
         orders = [*sel.per_m, *sel.failures, *sel.skipped]
         assert sorted(orders) == [1, 2, 3]
         assert sel.skipped == (3,)
+        assert sel.stopped_by == "floor"
         assert sel.chosen is sel.per_m[sel.chosen_m]
         assert sel.failures == {}
 
@@ -414,8 +448,58 @@ class TestSelectModel:
         data = make_dataset(fn, 80, 1.0, RngStream(5, 0))
         sel = select_model(data, 3, FitConfig(n_starts=4, max_iters=40, seed=0))
         assert sel.skipped == ()
+        assert sel.stopped_by is None
         assert set(sel.per_m) == {1, 2, 3}
         assert sel.failures == {}
+
+    @pytest.mark.parametrize(
+        "failed, chosen_m, tried, skipped",
+        [(None, 1, 4, (5, 6)), (3, 1, 4, (5, 6)), (4, 1, 4, (5, 6)), (1, 2, 5, (6,))],
+    )
+    def test_margin_stop_skips_orders_three_past_the_choice(
+        self, monkeypatch, failed, chosen_m, tried, skipped
+    ):
+        # every order ties within the window, so the choice is the first
+        # fitted one; the scan stops once three more orders were tried, a
+        # failed one included
+        table = [100.0, 99.9, 99.8, 99.7, 99.6, 99.5]
+        if failed:
+            table[failed - 1] = None
+        orders_tried = stub_rss_table(monkeypatch, table)
+        sel = select_model(NOISY_STYLE, 6, FitConfig(), x0=[0.0])
+        assert orders_tried == list(range(1, tried + 1))
+        assert sel.chosen_m == chosen_m
+        assert sel.skipped == skipped
+        assert sel.stopped_by == "margin"
+        assert set(sel.failures) == ({failed} if failed else set())
+        assert set(sel.per_m) == set(range(1, tried + 1)) - set(sel.failures)
+
+    @pytest.mark.parametrize(
+        "table, chosen_m",
+        [
+            ([100.0, 99.9, 99.8], 1),
+            ([200.0, 100.0, 99.9, 99.8], 2),
+            ([200.0, None, 100.0, 99.9, 99.8], 3),
+        ],
+    )
+    def test_scan_shorter_than_the_margin_fits_every_order(self, monkeypatch, table, chosen_m):
+        # m_max < chosen + 3: neither stop fires before the last order
+        orders_tried = stub_rss_table(monkeypatch, table)
+        sel = select_model(NOISY_STYLE, len(table), FitConfig(), x0=[0.0])
+        assert orders_tried == list(range(1, len(table) + 1))
+        assert sel.chosen_m == chosen_m
+        assert sel.skipped == ()
+        assert sel.stopped_by is None
+
+    def test_margin_stop_can_differ_from_the_full_scan(self, monkeypatch):
+        # order 5 would lower the window below orders 1-4, but the scan stops
+        # after order 4
+        orders_tried = stub_rss_table(monkeypatch, [100.0, 99.9, 99.8, 99.7, 1.0])
+        sel = select_model(NOISY_STYLE, 5, FitConfig(), x0=[0.0])
+        assert orders_tried == [1, 2, 3, 4]
+        assert (sel.chosen_m, sel.skipped, sel.stopped_by) == (1, (5,), "margin")
+        fit_doc = selected_fit_to_dict(sel)["fit"]
+        assert (fit_doc["skipped"], fit_doc["stopped_by"]) == ([5], "margin")
 
     def test_deterministic(self):
         fn = get_test_function("cubic")
@@ -445,6 +529,14 @@ class TestSelectModel:
             SelectedFit(per_m={1: r1, 2: r2}, chosen_m=1, chosen=r1, failures={}, skipped=(2,))
         with pytest.raises(DomainError, match="partition"):
             SelectedFit(per_m={1: r1}, chosen_m=1, chosen=r1, failures={}, skipped=(3,))
+        with pytest.raises(DomainError, match="stopped_by"):
+            SelectedFit(per_m={1: r1}, chosen_m=1, chosen=r1, failures={}, skipped=(2,))
+        with pytest.raises(DomainError, match="stopped_by"):
+            SelectedFit(per_m={1: r1, 2: r2}, chosen_m=1, chosen=r1, failures={}, stopped_by="floor")
+        with pytest.raises(DomainError, match="stopped_by"):
+            SelectedFit(
+                per_m={1: r1}, chosen_m=1, chosen=r1, failures={}, skipped=(2,), stopped_by="rss"
+            )
 
 
 class TestSerializationHelpers:
@@ -467,3 +559,5 @@ class TestSerializationHelpers:
         for m in sel.skipped:
             assert doc["fit"]["per_m_rss"][str(m)] is None
         assert doc["fit"]["skipped"] == list(sel.skipped)
+        assert doc["fit"]["stopped_by"] == sel.stopped_by
+        assert (sel.stopped_by is None) == (not sel.skipped)

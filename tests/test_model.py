@@ -30,7 +30,7 @@ from stochtaylor import (
     predict_original_units,
     save_model,
 )
-from stochtaylor.model import SCHEMA_VERSION
+from stochtaylor.model import SCHEMA_VERSION, _as_float_array, _point_matrix
 
 from conftest import random_model
 
@@ -369,6 +369,20 @@ class TestPredictGrid:
         xs = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
         got = predict_grid(model, xs[:, None])
         assert got == pytest.approx(xs**3 - 6 * xs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points", [[[True]], np.array([True]), [1.0, True], [[1.0], [np.True_]]],
+        ids=["nested-list", "bool-array", "mixed-list", "numpy-bool-in-list"],
+    )
+    def test_rejects_booleans(self, points):
+        model = from_taylor_polynomial((1.0,), 0.0)
+        with pytest.raises(DomainError, match="points must be real numbers"):
+            predict_grid(model, points)
+
+    def test_float_array_is_read_without_a_copy(self):
+        points = np.array([[1.0], [2.0]])
+        assert _point_matrix(points, 1) is points
+        assert _as_float_array(points, "points") is points
 
 
 class TestPredictOriginalUnits:

@@ -1,6 +1,6 @@
 """Property tests: the closed-form kernel (block layout, row errors, overflow),
-the parameter transform, Monte Carlo block partitions, and the exactness of
-the order scan's early exit."""
+the parameter transform, Monte Carlo block partitions, and the stops of the
+order scan."""
 
 import math
 from unittest import mock
@@ -294,7 +294,8 @@ def test_mc_values_split_on_block_boundaries_is_bit_identical(seed, d, m, lam, b
 
 
 # ---------------------------------------------------------------------------
-# Order selection: the scan stops early, yet picks what a full scan picks.
+# Order selection: the scan stops where its two documented stops say, and
+# picks what a full scan picks whenever the floor stop ended it.
 # ---------------------------------------------------------------------------
 
 _STUB_MODEL = from_taylor_polynomial((1.0,), 0.0)
@@ -308,6 +309,32 @@ def _window_threshold(fitted, floor: float, K: int, select_tol: float) -> float:
     return (1.0 + select_tol) * rss_min + floor + one_se
 
 
+def _window_choice(fitted: dict, floor: float, K: int, select_tol: float) -> int:
+    threshold = _window_threshold(list(fitted.values()), floor, K, select_tol)
+    return min(m for m, v in fitted.items() if v <= threshold)
+
+
+def _documented_scan(table, floor: float, K: int, select_tol: float):
+    """(choice, last order tried, stop) of the documented scan over ``table``.
+
+    After order m is tried, with c the choice over the orders fitted so far:
+    the floor stop fires when RSS_c <= floor, else the margin stop when
+    m >= c + 3. Neither fires at the last order.
+    """
+    fitted, chosen = {}, None
+    for m, value in enumerate(table, start=1):
+        if value is not None:
+            fitted[m] = value
+            chosen = _window_choice(fitted, floor, K, select_tol)
+        if chosen is None or m == len(table):
+            continue
+        if fitted[chosen] <= floor:
+            return chosen, m, "floor"
+        if m >= chosen + 3:
+            return chosen, m, "margin"
+    return chosen, len(table), None
+
+
 @st.composite
 def order_scans(draw):
     """(K, select_tol, table) with table[m-1] = RSS_M, or None for a failed order.
@@ -317,12 +344,13 @@ def order_scans(draw):
     repeat earlier entries exactly, or are missing. Optionally one entry is
     then moved onto (or next to) the threshold of all the other entries, the
     edge of the final window, where `<=` and the se width decide the choice.
+    Up to 9 orders leave room for the margin stop past choices up to 5.
     """
     K = draw(st.sampled_from((1, 7, 500)))
     select_tol = draw(st.sampled_from((0.0, 1e-3, 0.5)))
     floor = 1e-8 * K
     table = []
-    for _ in range(draw(st.integers(1, 7), label="M_max")):
+    for _ in range(draw(st.integers(1, 9), label="M_max")):
         fitted = [v for v in table if v is not None]
         options = [
             st.none(),
@@ -359,7 +387,9 @@ def order_scans(draw):
 @example(scan=(500, 1e-3, [_window_threshold([2.5e-5], 5e-6, 500, 1e-3), 2.5e-5]))
 @example(scan=(500, 1e-3, [7.5e-6, 2.5e-6, 1e-5]))
 @example(scan=(500, 1e-3, [None, 5e-6, None, 0.0]))
-def test_early_exit_picks_what_the_full_scan_picks(scan):
+# The margin stop after M=4 keeps M=1; the full table would choose M=5.
+@example(scan=(500, 1e-3, [1e-3, 1e-3, 1e-3, 1e-3, 0.0]))
+def test_scan_stops_as_documented_and_is_exact_at_the_floor(scan):
     K, select_tol, table = scan
     data = Dataset(np.ones((K, 1)), np.ones(K))
     floor = 1e-8 * K
@@ -385,13 +415,17 @@ def test_early_exit_picks_what_the_full_scan_picks(scan):
                 select_model(data, len(table), cfg, x0=[0.0])
             return
         sel = select_model(data, len(table), cfg, x0=[0.0])
-    # Reference: the documented window rule applied to every order's RSS.
-    all_rss = [r.rss for r in results.values()]
-    threshold = _window_threshold(all_rss, floor, K, select_tol)
-    full_scan = min(m for m, r in results.items() if r.rss <= threshold)
-    assert sel.chosen_m == full_scan
-    assert fitted == list(range(1, len(fitted) + 1))
-    assert sel.skipped == tuple(range(len(fitted) + 1, len(table) + 1))
+    chosen, last_tried, stop = _documented_scan(table, floor, K, select_tol)
+    assert sel.chosen_m == chosen
+    assert sel.stopped_by == stop
+    assert fitted == list(range(1, last_tried + 1))
+    assert sel.skipped == tuple(range(last_tried + 1, len(table) + 1))
     assert sel.per_m == {m: results[m] for m in fitted if m in results}
-    if sel.skipped:
+    # Only the margin stop may differ from the window rule applied to every
+    # order's RSS.
+    if stop != "margin":
+        assert sel.chosen_m == _window_choice(
+            {m: r.rss for m, r in results.items()}, floor, K, select_tol
+        )
+    if stop == "floor":
         assert sel.chosen.rss <= floor
