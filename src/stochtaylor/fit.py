@@ -22,6 +22,14 @@ never fires, it skips the costliest orders, and a skipped order could have
 moved the choice. Orders never fitted are reported as skipped, with the stop
 that skipped them.
 
+Each start runs :func:`least_squares`, a port of the unbounded branch of
+scipy's Trust Region Reflective solver (``trf_no_bounds`` and
+``solve_lsq_trust_region`` in ``scipy.optimize._lsq``, BSD-3-Clause): TRF
+(Branch, Coleman & Li 1999) with the exact trust-region step of Moré (1977)
+from one SVD of the Jacobian per iteration. It keeps scipy's operation order,
+so its fits are the ones ``scipy.optimize.least_squares(method="trf")`` gives
+with the same tolerances.
+
 Everything is deterministic given (data, config including seed).
 """
 
@@ -35,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.linalg import norm
 
 from .errors import DomainError, FitFailure, NumericRangeError
 from .model import (
@@ -88,8 +96,11 @@ _COEFF_CLIP = 1e60
 # long degenerate valleys where the RSS improvement test alone grinds until
 # the evaluation budget; a small-step exit ends those runs early.
 _XTOL = 1e-8
-# Relative RSS-improvement stopping tolerance of each start (scipy's ftol).
+# Relative RSS-improvement stopping tolerance of each start (TRF's ftol).
 _REL_TOL = 1e-10
+# Moré's step: iterations and relative tolerance of the search for ||p|| = Delta.
+_TR_MAX_ITER = 10
+_TR_RTOL = 0.01
 
 # Model selection: RSS ties are called within a relative window plus an
 # absolute floor proportional to the data's energy (so noiseless fits, whose
@@ -448,6 +459,143 @@ def _outside_stacklevel() -> int:
     return level
 
 
+@dataclass(frozen=True)
+class TrfResult:
+    """End of one :func:`least_squares` run.
+
+    ``cost`` is 0.5 * ||fun(x)||^2. ``status`` is 0 when the evaluation
+    budget ran out, 2 when the cost reduction fell below ftol, 3 when the
+    step fell below xtol and 4 when both did (scipy's codes).
+    """
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    njev: int
+    status: int
+
+
+def _phi_and_derivative(alpha, suf, s, Delta):
+    """||p(alpha)|| - Delta and its derivative in alpha, from the SVD of J."""
+    denom = s**2 + alpha
+    p_norm = norm(suf / denom)
+    return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+
+
+def _trust_region_step(m: int, uf, s, V, Delta, alpha):
+    """Moré's (1977) minimizer of ||J p + f|| over ||p|| <= Delta, from J = U S V^T.
+
+    ``uf`` is U^T f and ``m`` the number of residuals. Returns p and the
+    Levenberg-Marquardt parameter alpha with (J^T J + alpha I) p = -J^T f,
+    0 for a Gauss-Newton step inside the region; the ``alpha`` passed in,
+    the last step's, seeds the root search for ||p|| = Delta.
+    """
+    suf = s * uf
+    full_rank = m >= V.shape[0] and s[-1] > np.finfo(float).eps * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= Delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / Delta
+    if full_rank:
+        phi, phi_prime = _phi_and_derivative(0.0, suf, s, Delta)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(_TR_MAX_ITER):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = _phi_and_derivative(alpha, suf, s, Delta)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if np.abs(phi) < _TR_RTOL * Delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    # Scale p onto the boundary, so that rounding never puts it outside.
+    p *= Delta / norm(p)
+    return p, alpha
+
+
+# A module attribute that perfbench/spans.py patches.
+def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
+    """Minimize 0.5 * ||fun(x)||^2 from x0 by Trust Region Reflective steps.
+
+    TRF (Branch, Coleman & Li 1999) without bounds, each step the exact
+    trust-region step of Moré (1977) from one SVD of the Jacobian. This is
+    the branch of ``scipy.optimize.least_squares(method="trf")`` that the
+    fit uses: no bounds, ``tr_solver="exact"``, linear loss, unit
+    ``x_scale``, ``ftol=_REL_TOL``, ``xtol=_XTOL`` and ``gtol=None``. It is
+    ported from scipy's ``trf_no_bounds`` and ``solve_lsq_trust_region``
+    (BSD-3-Clause) in the same operation order, so x, cost, nfev, njev and
+    status are scipy's. ``fun`` runs at most ``max_nfev`` times and ``jac(x)``
+    right after each ``fun(x)`` whose step is taken. As in scipy, non-finite
+    residuals at x0 or a non-finite Jacobian raise ValueError.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    J = jac(x)
+    nfev = njev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    Delta = norm(x)
+    if Delta == 0:
+        Delta = 1.0
+    alpha = 0.0
+    status = 0
+    while not status and nfev < max_nfev:
+        # numpy returns U and Vt C-ordered, scipy.linalg.svd Fortran-ordered:
+        # contiguous U^T and V keep the BLAS paths, and so the bits, of scipy.
+        U, s, Vt = np.linalg.svd(np.asarray_chkfinite(J), full_matrices=False)
+        uf = np.ascontiguousarray(U.T).dot(f)
+        V = np.ascontiguousarray(Vt.T)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha = _trust_region_step(J.shape[0], uf, s, V, Delta, alpha)
+            Js = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = fun(x_new)
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new = 2.0 * Delta
+            else:
+                Delta_new = Delta
+            ftol_met = actual_reduction < _REL_TOL * cost and ratio > 0.25
+            xtol_met = step_norm < _XTOL * (_XTOL + norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            g = J.T.dot(f)
+    return TrfResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status)
+
+
 def _least_squares_callbacks(y: np.ndarray, m: int, d: int, log_delta: np.ndarray):
     """TRF's residual and Jacobian callables. TRF calls ``jac(x)`` right after ``fun(x)``, so
     the Jacobian reuses the last residual's forward pass at a ``v`` with the same bytes."""
@@ -498,16 +646,7 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
             scale = min(_JITTER_STEP * s, _JITTER_CAP)
             v_start = anchor + scale * gen.standard_normal(n_params)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = least_squares(
-                residuals,
-                v_start,
-                jac=jacobian,
-                method="trf",
-                ftol=_REL_TOL,
-                xtol=_XTOL,
-                gtol=None,
-                max_nfev=budget,
-            )
+            result = least_squares(residuals, v_start, jac=jacobian, max_nfev=budget)
         cost = 2.0 * float(result.cost)
         if math.isfinite(cost):
             candidates.append((cost, s, result.x))

@@ -301,6 +301,100 @@ class TestFitConfig:
             FitConfig(**kwargs)
 
 
+def trf_problem(function_id: str, K: int, m: int):
+    """fit_fixed_m's residual and Jacobian callbacks and anchor on a K-sample dataset."""
+    fn = get_test_function(function_id)
+    data = make_dataset(fn, K, fn.sigma, RngStream(3, 0))
+    _, _, log_delta = fit_mod._log_offsets(data, m, choose_origin(data.X, 0.05))
+    callbacks = fit_mod._least_squares_callbacks(data.y, m, data.d, log_delta)
+    return callbacks, fit_mod._taylor_start(data.y, m, data.d, log_delta)
+
+
+def jittered(anchor: np.ndarray, start: int) -> np.ndarray:
+    """fit_fixed_m's start ``start`` at seed 0."""
+    if start == 0:
+        return anchor
+    noise = RngStream(0, start).generator().standard_normal(anchor.size)
+    return anchor + min(fit_mod._JITTER_STEP * start, fit_mod._JITTER_CAP) * noise
+
+
+def trf_against_scipy(callbacks, x0, max_nfev: int):
+    """fit.least_squares's result, checked against scipy's TRF with fit_fixed_m's settings."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    fun, jac = callbacks
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ours = fit_mod.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)
+        ref = scipy_optimize.least_squares(
+            fun,
+            x0,
+            jac=jac,
+            method="trf",
+            ftol=fit_mod._REL_TOL,
+            xtol=fit_mod._XTOL,
+            gtol=None,
+            max_nfev=max_nfev,
+        )
+    assert (ours.status, ours.nfev, ours.njev) == (ref.status, ref.nfev, ref.njev)
+    np.testing.assert_allclose(ours.x, ref.x, rtol=1e-12, atol=0.0)
+    assert ours.cost == pytest.approx(ref.cost, rel=1e-12, abs=0.0)
+    return ours
+
+
+# (function, K, M); exp2d at K=10, M=2 has 16 parameters for 10 residuals, so
+# every step takes the rank-deficient branch of the trust-region solve.
+TRF_PROBLEMS = [
+    ("identity", 40, 1),
+    ("cubic", 40, 1),
+    ("cubic", 40, 3),
+    ("exp2d", 60, 1),
+    ("exp2d", 60, 2),
+    ("exp2d", 60, 3),
+    ("exp2d", 10, 2),
+]
+
+
+class TestLeastSquares:
+    """fit.least_squares is scipy's unbounded TRF: same steps, counts and stop."""
+
+    @pytest.mark.parametrize("budget", [2, 5, 25])
+    @pytest.mark.parametrize("start", [0, 1, 3])
+    @pytest.mark.parametrize("problem", TRF_PROBLEMS, ids=lambda p: "%s-K%d-M%d" % p)
+    def test_matches_scipy(self, problem, start, budget):
+        callbacks, anchor = trf_problem(*problem)
+        trf_against_scipy(callbacks, jittered(anchor, start), budget)
+
+    @pytest.mark.parametrize("problem", TRF_PROBLEMS, ids=lambda p: "%s-K%d-M%d" % p)
+    def test_zero_start_matches_scipy(self, problem):
+        # ||x0|| = 0: the first trust region has radius 1.
+        callbacks, anchor = trf_problem(*problem)
+        trf_against_scipy(callbacks, np.zeros_like(anchor), 25)
+
+    def test_each_stop_matches_scipy(self):
+        callbacks, anchor = trf_problem("identity", 40, 1)
+        assert trf_against_scipy(callbacks, anchor, 2).status == 0
+        assert trf_against_scipy(callbacks, jittered(anchor, 1), 200).status == 2
+        # s_a at -1e9 makes ||x|| ~ 1e9 while the residuals do not depend on
+        # it, so the first accepted step is below xtol * ||x||.
+        far = anchor.copy()
+        far[1] = -1e9
+        assert trf_against_scipy(callbacks, far, 25).status == 3
+
+    def test_takes_only_the_fits_arguments(self):
+        (fun, jac), anchor = trf_problem("identity", 40, 1)
+        with pytest.raises(TypeError):
+            fit_mod.least_squares(fun, anchor, jac=jac, max_nfev=5, ftol=1e-3)
+        with pytest.raises(TypeError):
+            fit_mod.least_squares(fun, anchor, jac, 5)
+
+    def test_non_finite_start_residuals_or_jacobian_raise(self):
+        # scipy raises ValueError for both.
+        (fun, jac), anchor = trf_problem("identity", 40, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            fit_mod.least_squares(lambda v: fun(v) * math.inf, anchor, jac=jac, max_nfev=5)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_mod.least_squares(fun, anchor, jac=lambda v: jac(v) * math.nan, max_nfev=5)
+
+
 class TestFitFixedM:
     def test_single_power_recovery(self):
         data = single_power_dataset()

@@ -1,9 +1,12 @@
-"""The package namespace re-exports the submodules' public names, and every
-integer argument, every real argument read outside a config type, every
-point matrix, every coordinate vector and every value array follows one
-rule."""
+"""The package namespace re-exports the submodules' public names, importing
+the package loads no scipy, and every integer argument, every real argument
+read outside a config type, every point matrix, every coordinate vector and
+every value array follows one rule."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -43,6 +46,23 @@ def test_every_exported_name_resolves():
     assert len(stochtaylor.__all__) == len(set(stochtaylor.__all__))
     missing = [name for name in stochtaylor.__all__ if not hasattr(stochtaylor, name)]
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter: other tests in this process may import scipy.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochtaylor.__file__)))
+    code = (
+        "import sys; import stochtaylor, stochtaylor.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 COMP_3D = ComponentParams(1.0, 0.0, (1.0,) * 3, (0.0,) * 3, (0.0,) * 3)
