@@ -54,9 +54,9 @@ _FIT_SEED_STRIDE = 100003
 class TestFunction:
     """A registered target: the true map plus its canonical study settings.
 
-    ``n_starts``/``max_iters`` of None keep the fitting defaults; functions
-    whose noise regime needs a different split of the evaluation budget
-    across starts carry explicit values.
+    ``n_starts``/``max_iters`` default to :class:`FitConfig`'s (20 and 500);
+    functions whose noise regime needs a different split of the evaluation
+    budget across starts carry explicit values.
     """
 
     id: str
@@ -70,8 +70,8 @@ class TestFunction:
     sigma: float
     m_max: int
     k_values: tuple[int, ...]
-    n_starts: int | None = None
-    max_iters: int | None = None
+    n_starts: int = FitConfig.n_starts
+    max_iters: int = FitConfig.max_iters
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = _point_matrix(points, self.d)
@@ -200,9 +200,10 @@ def get_test_function(function_id: str) -> TestFunction:
 class ExperimentSpec:
     """One experiment: a test function at one sample size, over several seeds.
 
-    ``x0`` is the explicit expansion origin (None delegates to the
-    automatic data-driven rule). ``n_starts``/``max_iters``/``grid_points``
-    of None fall back to package defaults.
+    ``x0`` is the expansion origin of every fit. ``n_starts`` and
+    ``max_iters`` go to :class:`FitConfig` and default to its values. The
+    distances are measured on ``DEFAULT_GRID_POINTS[d]`` points per
+    dimension. No field takes None.
     """
 
     function: str
@@ -213,16 +214,15 @@ class ExperimentSpec:
     fit_upper: tuple[float, ...]
     eval_lower: tuple[float, ...]
     eval_upper: tuple[float, ...]
+    x0: tuple[float, ...]
     n_seeds: int = _DEFAULT_N_SEEDS
     seed: int = 0
-    x0: tuple[float, ...] | None = None
-    n_starts: int | None = None
-    max_iters: int | None = None
-    grid_points: int | None = None
+    n_starts: int = FitConfig.n_starts
+    max_iters: int = FitConfig.max_iters
 
     def __post_init__(self) -> None:
         fn = get_test_function(self.function)
-        for name in ("fit_lower", "fit_upper", "eval_lower", "eval_upper"):
+        for name in ("fit_lower", "fit_upper", "eval_lower", "eval_upper", "x0"):
             object.__setattr__(self, name, _as_float_tuple(getattr(self, name), name, fn.d))
         if any(lo >= hi for lo, hi in zip(self.fit_lower, self.fit_upper)):
             raise DomainError("fit window must have lower < upper")
@@ -238,18 +238,12 @@ class ExperimentSpec:
         )
         if not inside:
             raise DomainError("evaluation window must contain the fit window")
-        object.__setattr__(self, "K", _as_int(self.K, "K", 1))
         object.__setattr__(self, "sigma", _as_finite_float(self.sigma, "sigma"))
         if self.sigma < 0.0:
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")
-        object.__setattr__(self, "m_max", _as_int(self.m_max, "m_max", 1))
-        object.__setattr__(self, "n_seeds", _as_int(self.n_seeds, "n_seeds", 1))
+        for name in ("K", "m_max", "n_seeds", "n_starts", "max_iters"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, 1))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        for name, minimum in (("n_starts", 1), ("max_iters", 1), ("grid_points", 2)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _as_int(getattr(self, name), name, minimum))
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", _as_float_tuple(self.x0, "x0", fn.d))
 
     @property
     def d(self) -> int:
@@ -345,7 +339,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         eval_lower=spec.eval_lower,
         eval_upper=spec.eval_upper,
     )
-    grid_points = spec.grid_points or DEFAULT_GRID_POINTS.get(fn.d, 100)
     records = []
     for i in range(spec.n_seeds):
         t_start = time.perf_counter()
@@ -353,15 +346,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         chosen_m = rss_value = sigma2_hat = d_sq = d_l1 = None
         try:
             data = make_dataset(fn, spec.K, spec.sigma, RngStream(spec.seed, i))
-            cfg = FitConfig(
-                n_starts=spec.n_starts if spec.n_starts is not None else FitConfig().n_starts,
-                max_iters=spec.max_iters if spec.max_iters is not None else FitConfig().max_iters,
-                seed=spec.seed + _FIT_SEED_STRIDE * (i + 1),
-            )
+            seed = spec.seed + _FIT_SEED_STRIDE * (i + 1)
+            cfg = FitConfig(n_starts=spec.n_starts, max_iters=spec.max_iters, seed=seed)
             sel = select_model(data, spec.m_max, cfg, x0=spec.x0)
             model = sel.chosen.model
             grid = shift_window_above(
-                GridSpec(spec.eval_lower, spec.eval_upper, grid_points), model.x0
+                GridSpec(spec.eval_lower, spec.eval_upper, DEFAULT_GRID_POINTS[fn.d]), model.x0
             )
             pts = grid.points()
             f_hat = predict_grid(model, pts)
@@ -404,7 +394,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    doc = {
+    return {
         "function": spec.function,
         "K": spec.K,
         "sigma": spec.sigma,
@@ -413,42 +403,40 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         "eval_window": {"lower": list(spec.eval_lower), "upper": list(spec.eval_upper)},
         "n_seeds": spec.n_seeds,
         "seed": spec.seed,
-        "x0": None if spec.x0 is None else list(spec.x0),
+        "x0": list(spec.x0),
+        "n_starts": spec.n_starts,
+        "max_iters": spec.max_iters,
     }
-    for name in ("n_starts", "max_iters", "grid_points"):
-        value = getattr(spec, name)
-        if value is not None:
-            doc[name] = value
-    return doc
 
 
 def spec_from_dict(doc: dict) -> ExperimentSpec:
     """Spec from its JSON document; absent fields take the registry defaults.
 
-    ``"x0": null`` asks for the automatic origin rule; a null ``n_starts``,
-    ``max_iters`` or ``grid_points`` counts as absent. Every field is
-    converted and checked by :class:`ExperimentSpec`.
+    The keys are those :func:`spec_to_dict` writes, and only ``function`` is
+    required. A window is an object with exactly the keys ``lower`` and
+    ``upper``. An unknown key, a null value or a malformed window is a
+    DataError that names the key; every value is then converted and checked
+    by :class:`ExperimentSpec`.
     """
-    if not isinstance(doc, dict):
-        raise DataError("experiment spec must be a JSON object")
-    try:
-        fields = ("K", "sigma", "m_max", "n_seeds", "seed", "x0")
-        overrides = {name: doc[name] for name in fields if name in doc}
-        for name in ("n_starts", "max_iters", "grid_points"):
-            if doc.get(name) is not None:
-                overrides[name] = doc[name]
-        for part in ("fit", "eval"):
-            window = doc.get(f"{part}_window")
-            if window:
-                overrides[f"{part}_lower"] = window["lower"]
-                overrides[f"{part}_upper"] = window["upper"]
-        # replace(), not default_spec(K=...): there K=None means the largest
-        # registered K, here "K": null is malformed.
-        return replace(default_spec(doc["function"]), **overrides)
-    except KeyError as exc:
-        raise DataError(f"experiment spec is missing the {exc.args[0]!r} field") from None
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"invalid experiment spec: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("function"), str):
+        raise DataError("experiment spec must be a JSON object with a 'function' name")
+    base = default_spec(doc["function"])
+    known = spec_to_dict(base)
+    overrides = {}
+    for key, value in doc.items():
+        if key not in known:
+            raise DataError(f"unknown experiment spec field {key!r}; known: {', '.join(known)}")
+        if value is None:
+            raise DataError(f"experiment spec field {key!r} must not be null")
+        if not key.endswith("_window"):
+            overrides[key] = value
+        elif isinstance(value, dict) and sorted(value) == ["lower", "upper"]:
+            part = key.split("_")[0]
+            overrides[f"{part}_lower"], overrides[f"{part}_upper"] = value["lower"], value["upper"]
+        else:
+            shape = "{'lower': [...], 'upper': [...]}"
+            raise DataError(f"experiment spec field {key!r} must be {shape}, got {value!r}")
+    return replace(base, **overrides)
 
 
 def load_experiment_specs(path: str) -> list[ExperimentSpec]:

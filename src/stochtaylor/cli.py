@@ -181,11 +181,7 @@ def _cmd_fit(args) -> int:
             raise UsageError(f"--x0 needs d={data.d} coordinates, got {len(x0)}")
     else:
         x0 = None
-    cfg = FitConfig(
-        n_starts=args.starts,
-        seed=args.seed,
-        delta_frac=args.delta_frac,
-    )
+    cfg = FitConfig(n_starts=args.starts, seed=args.seed)
     sel = select_model(data, args.m_max, cfg, x0=x0)
     doc = selected_fit_to_dict(sel)
     if rescale is not None:
@@ -276,6 +272,8 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    # argparse reads a separate value that starts with "-" as a flag.
+    grid_help = "lo:hi:n[,lo:hi:n...] per dimension; write --grid=-1:7:5 if lo < 0"
     parser = _Parser(prog="stochtaylor", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -284,8 +282,8 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--m-max", type=int, required=True, dest="m_max")
     p_fit.add_argument("--starts", type=int, default=FitConfig().n_starts)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--delta-frac", type=float, default=FitConfig().delta_frac, dest="delta_frac")
-    p_fit.add_argument("--x0", default=None, help="explicit origin v1,...,vd (scaled units)")
+    x0_help = "origin v1,...,vd (scaled units; default 5%% of the range below the data)"
+    p_fit.add_argument("--x0", default=None, help=x0_help + "; write --x0=-1,2 if v1 < 0")
     p_fit.add_argument("--rescale", default=None, help="divisors c1,...,cd+1 per column")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=_cmd_fit)
@@ -293,14 +291,14 @@ def _build_parser() -> _Parser:
     p_pred = sub.add_parser("predict", help="evaluate a fitted model")
     p_pred.add_argument("--model", required=True)
     group = p_pred.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", default=None, help="lo:hi:n[,lo:hi:n...] per dimension")
+    group.add_argument("--grid", default=None, help=grid_help)
     group.add_argument("--points", default=None, help="CSV of points (columns x_1..x_d)")
     p_pred.add_argument("--out", required=True)
     p_pred.set_defaults(func=_cmd_predict)
 
     p_env = sub.add_parser("envelope", help="Monte Carlo quantile band of a fitted model")
     p_env.add_argument("--model", required=True)
-    p_env.add_argument("--grid", required=True, help="lo:hi:n[,lo:hi:n...] per dimension")
+    p_env.add_argument("--grid", required=True, help=grid_help)
     p_env.add_argument("--n-real", type=int, default=10000, dest="n_real")
     p_env.add_argument("--alpha", type=float, default=0.05)
     p_env.add_argument("--seed", type=int, default=0)
@@ -317,7 +315,7 @@ def _build_parser() -> _Parser:
     p_dist = sub.add_parser("distance", help="quadrature distances between two value CSVs")
     p_dist.add_argument("--pred", required=True)
     p_dist.add_argument("--truth", required=True)
-    p_dist.add_argument("--grid", required=True)
+    p_dist.add_argument("--grid", required=True, help=grid_help)
     p_dist.set_defaults(func=_cmd_distance)
 
     p_bench = sub.add_parser("bench", help="run experiment specs and write reports")

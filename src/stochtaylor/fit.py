@@ -122,6 +122,9 @@ _SCAN_MARGIN = 3
 # basin exploration.
 _JITTER_STEP = 0.25
 _JITTER_CAP = 1.0
+# Automatic expansion origin: this fraction of each coordinate's data range
+# below its minimum. Pass an explicit origin to place it elsewhere.
+_ORIGIN_FRAC = 0.05
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -168,25 +171,21 @@ class FitConfig:
 
     ``n_starts`` local optimizations per M; ``max_iters`` total
     function-evaluation budget per model order, split evenly across starts
-    (each start gets at least 2 evaluations); ``delta_frac`` origin offset
-    as a fraction of the per-coordinate data range; ``seed`` master seed for
-    the start jitter. The stopping tolerance of each start (``_REL_TOL``),
-    the terms of the order-selection tie window (``_SELECT_TOL``,
-    ``_TIE_FLOOR_REL``, ``_TIE_SE_MULT``) and the scan's margin
-    (``_SCAN_MARGIN``) are module constants.
+    (each start gets at least 2 evaluations); ``seed`` master seed for the
+    start jitter. The stopping tolerance of each start (``_REL_TOL``), the
+    terms of the order-selection tie window (``_SELECT_TOL``,
+    ``_TIE_FLOOR_REL``, ``_TIE_SE_MULT``), the scan's margin
+    (``_SCAN_MARGIN``) and the offset of the automatic origin
+    (``_ORIGIN_FRAC``) are module constants.
     """
 
     n_starts: int = 20
     max_iters: int = 500
-    delta_frac: float = 0.05
     seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_starts", _as_int(self.n_starts, "n_starts", 1))
         object.__setattr__(self, "max_iters", _as_int(self.max_iters, "max_iters", 1))
-        object.__setattr__(self, "delta_frac", _as_finite_float(self.delta_frac, "delta_frac"))
-        if self.delta_frac <= 0.0:
-            raise DomainError(f"delta_frac must be positive, got {self.delta_frac}")
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
 
 
@@ -239,8 +238,8 @@ class SelectedFit:
             )
 
 
-def choose_origin(X, delta_frac: float) -> np.ndarray:
-    """Expansion origin strictly below the data: min - max(delta_frac*range, 1e-6).
+def choose_origin(X) -> np.ndarray:
+    """Expansion origin strictly below the data: min - max(_ORIGIN_FRAC*range, 1e-6).
 
     A zero per-coordinate range falls back to the absolute 1e-6 offset, so
     every shift X[k][r] - x0[r] is strictly positive.
@@ -250,12 +249,9 @@ def choose_origin(X, delta_frac: float) -> np.ndarray:
         raise DomainError(f"X must be a nonempty (K, d) matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DomainError("X must be finite")
-    delta_frac = _as_finite_float(delta_frac, "delta_frac")
-    if delta_frac <= 0.0:
-        raise DomainError(f"delta_frac must be positive, got {delta_frac}")
     mins = X.min(axis=0)
     ranges = X.max(axis=0) - mins
-    return mins - np.maximum(delta_frac * ranges, 1e-6)
+    return mins - np.maximum(_ORIGIN_FRAC * ranges, 1e-6)
 
 
 def rss(model: SteModel, data: Dataset) -> float:
@@ -720,7 +716,7 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
     """
     m_max = _as_int(m_max, "M_max", 1)
     if x0 is None:
-        x0 = choose_origin(data.X, cfg.delta_frac)
+        x0 = choose_origin(data.X)
     floor = _TIE_FLOOR_REL * float(data.y @ data.y)
     per_m: dict[int, FitResult] = {}
     failures: dict[int, str] = {}

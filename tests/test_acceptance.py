@@ -278,9 +278,7 @@ def run_all_commands(workdir: str, capsys) -> tuple[dict, str]:
     with open(input_csv, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     spec_path = os.path.join(workdir, "spec.json")
-    spec = default_spec(
-        "identity", K=30, n_seeds=2, m_max=2, n_starts=2, max_iters=20, grid_points=50
-    )
+    spec = default_spec("identity", K=30, n_seeds=2, m_max=2, n_starts=2, max_iters=20)
     with open(spec_path, "w", encoding="utf-8") as fh:
         json.dump(spec_to_dict(spec), fh)
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stochtaylor import DomainError, RngStream, UnderdeterminedWarning
+from stochtaylor import DataError, DomainError, FitConfig, RngStream, UnderdeterminedWarning
 from stochtaylor.bench import (
     DEFAULT_GRID_POINTS,
     REGISTRY,
@@ -32,7 +32,7 @@ SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "stochtaylor", "
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
-    base = dict(K=40, n_seeds=2, m_max=2, n_starts=2, max_iters=20, grid_points=50)
+    base = dict(K=40, n_seeds=2, m_max=2, n_starts=2, max_iters=20)
     base.update(overrides)
     return default_spec("identity", **base)
 
@@ -163,21 +163,35 @@ class TestExperimentSpec:
         with pytest.raises(DomainError):
             dataclasses.replace(default_spec("identity"), **{field: True})
 
-    @pytest.mark.parametrize(
-        "field, minimum", [("n_starts", 1), ("max_iters", 1), ("grid_points", 2)]
-    )
+    @pytest.mark.parametrize("field, minimum", [("n_starts", 1), ("max_iters", 1)])
     def test_checks_optional_counts(self, field, minimum):
         spec = default_spec("identity")
-        for bad in (True, 2.5, minimum - 1, "3"):
+        for bad in (True, 2.5, minimum - 1, "3", None):
             with pytest.raises(DomainError, match=field):
                 dataclasses.replace(spec, **{field: bad})
         assert getattr(dataclasses.replace(spec, **{field: float(minimum)}), field) == minimum
-        assert getattr(dataclasses.replace(spec, **{field: None}), field) is None
+
+    def test_counts_default_to_fit_config(self):
+        spec = default_spec("exp2d")
+        assert (spec.n_starts, spec.max_iters) == (FitConfig().n_starts, FitConfig().max_iters)
+        fn = get_test_function("exp2d")
+        assert (fn.n_starts, fn.max_iters) == (20, 500)
 
     def test_rejects_non_finite_x0(self):
         for bad in ((math.nan,), (math.inf,), (-math.inf,)):
             with pytest.raises(DomainError, match="x0 must be finite"):
                 dataclasses.replace(default_spec("identity"), x0=bad)
+
+    def test_x0_is_required(self):
+        with pytest.raises(DomainError, match="x0"):
+            dataclasses.replace(default_spec("identity"), x0=None)
+        with pytest.raises(TypeError, match="x0"):
+            ExperimentSpec("identity", 30, 0.0, 1, (0.0,), (1.0,), (0.0,), (1.0,))
+
+    def test_no_grid_points_field(self):
+        names = [f.name for f in dataclasses.fields(ExperimentSpec)]
+        assert "grid_points" not in names
+        assert len(names) == 13
 
     def test_rejects_wrong_window_length(self):
         with pytest.raises(DomainError):
@@ -195,6 +209,22 @@ class TestExperimentSpec:
         assert spec.n_starts == 20
         assert spec.max_iters == 40
         assert spec.x0 == (0.0,)
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"n_seed": 1}, "'n_seed'"),
+            ({"n_starts": None}, "'n_starts'"),
+            ({"fit_window": None}, "'fit_window'"),
+            ({"fit_window": {}}, "'fit_window'"),
+            ({"eval_window": []}, "'eval_window'"),
+            ({"eval_window": {"lower": [0.0], "upper": [7.0], "step": 1}}, "'step'"),
+        ],
+    )
+    def test_dict_rejects_unknown_keys_nulls_and_bad_windows(self, change, named):
+        doc = {**spec_to_dict(default_spec("cubic", K=25)), **change}
+        with pytest.raises(DataError, match=named):
+            spec_from_dict(doc)
 
 
 class TestShippedSpecs:
@@ -214,6 +244,15 @@ class TestShippedSpecs:
             (fn.id, K) for fn in REGISTRY.values() for K in fn.k_values
         }
         assert {(s.function, s.K) for s in specs} == want
+
+    @pytest.mark.parametrize(
+        "name", ["identity", "cubic", "trig_mix", "exp2d", "polyexp2d", "study"]
+    )
+    def test_files_are_what_spec_to_dict_writes(self, name):
+        functions = list(REGISTRY.values()) if name == "study" else [REGISTRY[name]]
+        want = [spec_to_dict(default_spec(fn.id, K=K)) for fn in functions for K in fn.k_values]
+        with open(os.path.join(SPEC_DIR, f"{name}.json"), encoding="utf-8") as fh:
+            assert json.load(fh) == want
 
     def test_single_object_file_loads(self, tmp_path):
         path = os.path.join(tmp_path, "one.json")

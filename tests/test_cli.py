@@ -25,6 +25,7 @@ from stochtaylor.cli import ingest, main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "stochtaylor", "data")
 IDENTITY_SAMPLE = os.path.join(DATA_DIR, "identity_sample.csv")
+TWO_INDEX = os.path.join(DATA_DIR, "two_index.csv")
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,27 @@ class TestFitCommand:
         assert code == 0
         assert load_model(out).x0 == (0.0,)
 
+    def test_negative_origin_takes_the_equals_form(self, capsys, tmp_path):
+        # a separate "-0.05,..." would be read as a flag
+        out = os.path.join(tmp_path, "model.json")
+        code, _, _ = run_cli(
+            capsys,
+            "fit", "--input", TWO_INDEX, "--m-max", "1",
+            "--starts", "2", "--x0=-0.05,-0.05", "--out", out,
+        )
+        assert code == 0
+        assert load_model(out).x0 == (-0.05, -0.05)
+
+    def test_origin_offset_is_not_a_flag(self, capsys, tmp_path, power_csv):
+        out = os.path.join(tmp_path, "model.json")
+        code, _, err = run_cli(
+            capsys,
+            "fit", "--input", power_csv, "--m-max", "1", "--delta-frac", "0.1", "--out", out,
+        )
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+        assert not os.path.exists(out)
+
 
 class TestPredictCommand:
     def fit_power(self, capsys, tmp_path, power_csv):
@@ -207,6 +229,20 @@ class TestPredictCommand:
         assert body.shape == (5, 2)
         assert np.array_equal(body[:, 0], np.linspace(0.5, 2.5, 5))
         assert body[0, 1] == evaluate(model, (0.5,))
+
+    def test_negative_grid_takes_the_equals_form(self, capsys, tmp_path):
+        comp = ComponentParams(1.0, 0.2, (1.0,), (0.1,), (0.3,))
+        model = SteModel(d=1, components=(comp,), x0=(-2.0,))
+        model_path = os.path.join(tmp_path, "shifted.json")
+        save_model(model, model_path)
+        out = os.path.join(tmp_path, "pred.csv")
+        code, _, _ = run_cli(
+            capsys, "predict", "--model", model_path, "--grid=-1.5:1:6", "--out", out
+        )
+        assert code == 0
+        _, body = read_rows(out)
+        assert np.array_equal(body[:, 0], np.linspace(-1.5, 1.0, 6))
+        assert np.array_equal(body[:, 1], predict_grid(model, body[:, :1]))
 
     def test_rescaling_coherence(self, capsys, tmp_path, power_csv):
         # fitting rescaled data must predict in original units: equal to
@@ -369,9 +405,7 @@ class TestDistanceCommand:
 
 class TestBenchCommand:
     def test_runs_spec_file_and_writes_reports(self, capsys, tmp_path):
-        spec = default_spec(
-            "identity", K=30, n_seeds=2, m_max=2, n_starts=2, max_iters=20, grid_points=50
-        )
+        spec = default_spec("identity", K=30, n_seeds=2, m_max=2, n_starts=2, max_iters=20)
         spec_path = os.path.join(tmp_path, "spec.json")
         with open(spec_path, "w", encoding="utf-8") as fh:
             json.dump([spec_to_dict(spec)], fh)
@@ -389,9 +423,7 @@ class TestBenchCommand:
             assert "wall_time_s" not in fh.readline()
 
     def test_seed_override_and_determinism(self, capsys, tmp_path):
-        spec = default_spec(
-            "identity", K=30, n_seeds=4, m_max=2, n_starts=2, max_iters=20, grid_points=50
-        )
+        spec = default_spec("identity", K=30, n_seeds=4, m_max=2, n_starts=2, max_iters=20)
         spec_path = os.path.join(tmp_path, "spec.json")
         with open(spec_path, "w", encoding="utf-8") as fh:
             json.dump(spec_to_dict(spec), fh)
@@ -534,6 +566,12 @@ class TestErrorContract:
             {"K": None},
             {"sigma": None},
             {"sigma": True},
+            {"sigmaa": 9},
+            {"n_starts": None},
+            {"x0": None},
+            {"fit_window": None},
+            {"fit_window": {}},
+            {"eval_window": {"lower": [0.0], "upper": [7.0], "step": 1}},
         ],
         ids=[
             "K-not-a-number",
@@ -542,10 +580,16 @@ class TestErrorContract:
             "K-not-integral",
             "m_max-boolean",
             "seed-not-integral",
-            "grid_points-below-two",
+            "unknown-key-grid_points",
             "K-null",
             "sigma-null",
             "sigma-boolean",
+            "unknown-key-sigmaa",
+            "n_starts-null",
+            "x0-null",
+            "fit-window-null",
+            "fit-window-empty",
+            "eval-window-extra-key",
         ],
     )
     def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):
@@ -558,7 +602,9 @@ class TestErrorContract:
         assert code == 2
         lines = err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "data"
+        error = json.loads(lines[0])
+        assert error["error"] == "data"
+        assert all(key in error["message"] for key in change)
 
     @pytest.mark.parametrize(
         "change",

@@ -44,17 +44,22 @@ def single_power_dataset(K: int = 200) -> Dataset:
 
 class TestChooseOrigin:
     def test_five_percent_below_range(self):
-        x0 = choose_origin(np.array([[1.0], [2.0], [3.0]]), 0.05)
+        x0 = choose_origin(np.array([[1.0], [2.0], [3.0]]))
         assert x0 == pytest.approx([0.9], abs=1e-15)
 
     def test_constant_column_floor(self):
-        x0 = choose_origin(np.array([[5.0], [5.0], [5.0]]), 0.05)
+        x0 = choose_origin(np.array([[5.0], [5.0], [5.0]]))
         assert x0 == pytest.approx([5.0 - 1e-6], abs=1e-18)
 
     def test_per_coordinate(self):
         X = np.array([[1.0, 10.0], [3.0, 30.0]])
-        x0 = choose_origin(X, 0.1)
-        assert x0 == pytest.approx([1.0 - 0.2, 10.0 - 2.0], abs=1e-12)
+        x0 = choose_origin(X)
+        assert x0 == pytest.approx([1.0 - 0.1, 10.0 - 1.0], abs=1e-12)
+
+    def test_offset_is_a_module_constant(self):
+        assert fit_mod._ORIGIN_FRAC == 0.05
+        with pytest.raises(TypeError):
+            choose_origin(np.array([[1.0], [2.0]]), 0.05)
 
 
 class TestRss:
@@ -276,13 +281,14 @@ class TestFitConfig:
         cfg = FitConfig()
         assert cfg.n_starts == 20
         assert cfg.max_iters == 500
-        assert cfg.delta_frac == 0.05
+        assert cfg.seed == 0
 
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(FitConfig)]
-        assert names == ["n_starts", "max_iters", "delta_frac", "seed"]
-        with pytest.raises(TypeError):
-            FitConfig(rel_tol=1e-10)
+        assert names == ["n_starts", "max_iters", "seed"]
+        for removed in ("rel_tol", "delta_frac"):
+            with pytest.raises(TypeError):
+                FitConfig(**{removed: 0.05})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -291,9 +297,9 @@ class TestFitConfig:
             {"max_iters": 0},
             {"n_starts": True},
             {"max_iters": True},
-            {"delta_frac": 0.0},
-            {"delta_frac": np.bool_(True)},
-            {"delta_frac": math.inf},
+            {"n_starts": "3"},
+            {"max_iters": np.bool_(True)},
+            {"seed": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -305,7 +311,7 @@ def trf_problem(function_id: str, K: int, m: int):
     """fit_fixed_m's residual and Jacobian callbacks and anchor on a K-sample dataset."""
     fn = get_test_function(function_id)
     data = make_dataset(fn, K, fn.sigma, RngStream(3, 0))
-    _, _, log_delta = fit_mod._log_offsets(data, m, choose_origin(data.X, 0.05))
+    _, _, log_delta = fit_mod._log_offsets(data, m, choose_origin(data.X))
     callbacks = fit_mod._least_squares_callbacks(data.y, m, data.d, log_delta)
     return callbacks, fit_mod._taylor_start(data.y, m, data.d, log_delta)
 

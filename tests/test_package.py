@@ -118,7 +118,6 @@ def test_integer_arguments_share_one_rule(site):
 
 # Each site maps a real argument to what the call stores or returns for it.
 REAL_SITES = {
-    "choose_origin.delta_frac": lambda v: float(choose_origin([[1.0], [2.0]], v)[0]),
     "sigma2_mle.rss": lambda v: sigma2_mle(v, 2),
     "envelope.alpha": lambda v: envelope(INTENSITY_1D, [[1.5]], 4, v, RngStream(0)).alpha,
     "Envelope.alpha": lambda v: Envelope(np.ones((1, 1)), [0.0], [0.0], [0.0], v, 1).alpha,
@@ -143,7 +142,7 @@ POINT_SITES = {
     "predict_grid": lambda p: predict_grid(MODEL_1D, p),
     "predict_original_units": lambda p: predict_original_units(MODEL_1D, p),
     "Dataset.X": lambda p: Dataset(p, [1.0, 2.0]).X,
-    "choose_origin.X": lambda p: choose_origin(p, 0.05),
+    "choose_origin.X": choose_origin,
     "TestFunction.__call__": lambda p: IDENTITY(p),
     "Envelope.grid": lambda p: Envelope(p, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.1, 1).grid,
     "envelope.grid": lambda p: envelope(INTENSITY_1D, p, 4, 0.5, RngStream(0)).mean,
