@@ -25,10 +25,12 @@ that skipped them.
 Each start runs :func:`least_squares`, a port of the unbounded branch of
 scipy's Trust Region Reflective solver (``trf_no_bounds`` and
 ``solve_lsq_trust_region`` in ``scipy.optimize._lsq``, BSD-3-Clause): TRF
-(Branch, Coleman & Li 1999) with the exact trust-region step of Moré (1977)
-from one SVD of the Jacobian per iteration. It keeps scipy's operation order,
-so its fits are the ones ``scipy.optimize.least_squares(method="trf")`` gives
-with the same tolerances.
+(Branch, Coleman & Li 1999) with the exact trust-region step of Moré (1977).
+It keeps scipy's loop, stops and counts, but computes the step from one
+eigendecomposition of the Gram matrix J^T J per iteration instead of an SVD
+of J, so its fits agree with ``scipy.optimize.least_squares(method="trf")``
+up to rounding, not bit for bit. A start whose residuals at x0 or whose
+Jacobian are not finite fails alone.
 
 Everything is deterministic given (data, config including seed).
 """
@@ -43,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from numpy.linalg import norm
 
 from .errors import DomainError, FitFailure, NumericRangeError
 from .model import (
@@ -471,49 +472,87 @@ class TrfResult:
     status: int
 
 
-def _phi_and_derivative(alpha, suf, s, Delta):
-    """||p(alpha)|| - Delta and its derivative in alpha, from the SVD of J."""
-    denom = s**2 + alpha
-    p_norm = norm(suf / denom)
-    return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+class _NotFinite(ValueError):
+    """:func:`least_squares` met non-finite residuals at x0 or a non-finite Jacobian."""
 
 
-def _trust_region_step(m: int, uf, s, V, Delta, alpha):
-    """Moré's (1977) minimizer of ||J p + f|| over ||p|| <= Delta, from J = U S V^T.
+def _norm(q: np.ndarray) -> float:
+    """Euclidean norm of a vector: numpy.linalg.norm's arithmetic without its call overhead."""
+    return math.sqrt(q.dot(q))
 
-    ``uf`` is U^T f and ``m`` the number of residuals. Returns p and the
-    Levenberg-Marquardt parameter alpha with (J^T J + alpha I) p = -J^T f,
-    0 for a Gauss-Newton step inside the region; the ``alpha`` passed in,
-    the last step's, seeds the root search for ||p|| = Delta.
+
+def _phi_and_derivative(alpha, gv, w, Delta):
+    """||p(alpha)|| - Delta and its derivative in alpha, from the eigenpairs of J^T J.
+
+    ``w`` are the eigenvalues and ``gv`` is V^T g; p(alpha) has coordinates
+    -gv / (w + alpha) in the eigenvector basis.
     """
-    suf = s * uf
-    full_rank = m >= V.shape[0] and s[-1] > np.finfo(float).eps * m * s[0]
+    denom = w + alpha
+    q = gv / denom
+    p_norm = _norm(q)
+    return p_norm - Delta, -q.dot(q / denom) / p_norm
+
+
+def _gram_eigen(J: np.ndarray, g: np.ndarray):
+    """V^T g, w, V and the rank flag of the Gram matrix J^T J = V diag(w) V^T.
+
+    ``g`` is J^T f. Eigenvalues come in the SVD's descending order, and a
+    zero eigenvalue that rounding left negative is set to 0. The Gauss-Newton
+    step counts as defined (``full_rank``) when K >= n and
+    w_min > eps * K * w_max: the eigenvalues carry rounding errors of about
+    eps * w_max, so smaller ones are noise. That admits a condition number of
+    J up to 1 / sqrt(eps * K), where scipy's cut on the singular values,
+    s_min > eps * K * s_max, admits 1 / (eps * K). A Jacobian that is not
+    finite, or whose Gram matrix overflows (|J| above about 1e154), raises
+    :class:`_NotFinite`.
+    """
+    G = J.T.dot(J)
+    if not np.isfinite(G).all():
+        raise _NotFinite("Jacobian or its Gram matrix has infs or NaNs")
+    w, V = np.linalg.eigh(G)
+    w = np.maximum(w[::-1], 0.0)
+    V = np.ascontiguousarray(V[:, ::-1])
+    K, n = J.shape
+    full_rank = K >= n and w[-1] > np.finfo(float).eps * K * w[0]
+    return V.T.dot(g), w, V, full_rank
+
+
+def _trust_region_step(gv, w, V, full_rank: bool, Delta, alpha):
+    """Moré's (1977) minimizer of ||J p + f|| over ||p|| <= Delta, from J^T J = V diag(w) V^T.
+
+    ``gv``, ``w``, ``V`` and ``full_rank`` are :func:`_gram_eigen`'s, and
+    -V (gv / w) is the Gauss-Newton step when ``full_rank``. Returns p and the
+    Levenberg-Marquardt parameter alpha with (J^T J + alpha I) p = -g, 0 for
+    a Gauss-Newton step inside the region; the ``alpha`` passed in, the last
+    step's, seeds the root search for ||p|| = Delta. This is scipy's
+    ``solve_lsq_trust_region`` with s**2 = w and s * U^T f = gv.
+    """
     if full_rank:
-        p = -V.dot(uf / s)
-        if norm(p) <= Delta:
+        p = -V.dot(gv / w)
+        if _norm(p) <= Delta:
             return p, 0.0
-    alpha_upper = norm(suf) / Delta
+    alpha_upper = _norm(gv) / Delta
     if full_rank:
-        phi, phi_prime = _phi_and_derivative(0.0, suf, s, Delta)
+        phi, phi_prime = _phi_and_derivative(0.0, gv, w, Delta)
         alpha_lower = -phi / phi_prime
     else:
         alpha_lower = 0.0
-    if not full_rank and alpha == 0:
-        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        if alpha == 0:
+            alpha = 0.001 * alpha_upper
     for _ in range(_TR_MAX_ITER):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-        phi, phi_prime = _phi_and_derivative(alpha, suf, s, Delta)
+        phi, phi_prime = _phi_and_derivative(alpha, gv, w, Delta)
         if phi < 0:
             alpha_upper = alpha
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < _TR_RTOL * Delta:
+        if abs(phi) < _TR_RTOL * Delta:
             break
-    p = -V.dot(suf / (s**2 + alpha))
+    p = -V.dot(gv / (w + alpha))
     # Scale p onto the boundary, so that rounding never puts it outside.
-    p *= Delta / norm(p)
+    p *= Delta / _norm(p)
     return p, alpha
 
 
@@ -522,44 +561,46 @@ def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
     """Minimize 0.5 * ||fun(x)||^2 from x0 by Trust Region Reflective steps.
 
     TRF (Branch, Coleman & Li 1999) without bounds, each step the exact
-    trust-region step of Moré (1977) from one SVD of the Jacobian. This is
-    the branch of ``scipy.optimize.least_squares(method="trf")`` that the
-    fit uses: no bounds, ``tr_solver="exact"``, linear loss, unit
-    ``x_scale``, ``ftol=_REL_TOL``, ``xtol=_XTOL`` and ``gtol=None``. It is
-    ported from scipy's ``trf_no_bounds`` and ``solve_lsq_trust_region``
-    (BSD-3-Clause) in the same operation order, so x, cost, nfev, njev and
-    status are scipy's. ``fun`` runs at most ``max_nfev`` times and ``jac(x)``
-    right after each ``fun(x)`` whose step is taken. As in scipy, non-finite
-    residuals at x0 or a non-finite Jacobian raise ValueError.
+    trust-region step of Moré (1977). This is the branch of
+    ``scipy.optimize.least_squares(method="trf")`` that the fit uses: no
+    bounds, ``tr_solver="exact"``, linear loss, unit ``x_scale``,
+    ``ftol=_REL_TOL``, ``xtol=_XTOL`` and ``gtol=None``, ported from scipy's
+    ``trf_no_bounds`` and ``solve_lsq_trust_region`` (BSD-3-Clause) with the
+    same loop, stops and counts. Where scipy takes an SVD J = U S V^T, each
+    iteration here takes the eigendecomposition of the Gram matrix
+    J^T J = V diag(w) V^T (:func:`_gram_eigen`), which gives the same step:
+    s**2 = w and s * U^T f = V^T J^T f, and for K >> n is cheaper than the
+    SVD of the K x n Jacobian. The fits agree with scipy's up to rounding,
+    not bit for bit, and the rank cut is set for the Gram matrix. ``fun``
+    runs at most ``max_nfev`` times and ``jac(x)`` right after each
+    ``fun(x)`` whose step is taken. Non-finite residuals at x0 raise
+    :class:`_NotFinite`, a ValueError as in scipy, and so does a non-finite
+    Jacobian or one whose Gram matrix overflows.
     """
     x = np.array(x0, dtype=float)
     f = fun(x)
     if not np.all(np.isfinite(f)):
-        raise ValueError("Residuals are not finite in the initial point.")
+        raise _NotFinite("Residuals are not finite in the initial point.")
     J = jac(x)
     nfev = njev = 1
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
-    Delta = norm(x)
+    Delta = _norm(x)
     if Delta == 0:
         Delta = 1.0
     alpha = 0.0
     status = 0
     while not status and nfev < max_nfev:
-        # numpy returns U and Vt C-ordered, scipy.linalg.svd Fortran-ordered:
-        # contiguous U^T and V keep the BLAS paths, and so the bits, of scipy.
-        U, s, Vt = np.linalg.svd(np.asarray_chkfinite(J), full_matrices=False)
-        uf = np.ascontiguousarray(U.T).dot(f)
-        V = np.ascontiguousarray(Vt.T)
+        eigen = _gram_eigen(J, g)
         actual_reduction = -1
         while actual_reduction <= 0 and nfev < max_nfev:
-            step, alpha = _trust_region_step(J.shape[0], uf, s, V, Delta, alpha)
+            step, alpha = _trust_region_step(*eigen, Delta, alpha)
             Js = J.dot(step)
             predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
             x_new = x + step
             f_new = fun(x_new)
             nfev += 1
-            step_norm = norm(step)
+            step_norm = _norm(step)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_norm
                 continue
@@ -578,7 +619,7 @@ def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
             else:
                 Delta_new = Delta
             ftol_met = actual_reduction < _REL_TOL * cost and ratio > 0.25
-            xtol_met = step_norm < _XTOL * (_XTOL + norm(x))
+            xtol_met = step_norm < _XTOL * (_XTOL + _norm(x))
             if ftol_met or xtol_met:
                 status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
                 break
@@ -615,7 +656,10 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
     Start s >= 1 jitters the polynomial-like anchor using stream
     (cfg.seed, s); the winner is the lowest-RSS start, ties broken by the
     smallest start index, so any parallel execution order gives the same
-    result. K < M*(3d+2) triggers UnderdeterminedWarning but still fits.
+    result. A start fails, and the others go on, when its final cost is not
+    finite or when its residuals at the start or a Jacobian on its path are
+    not; FitFailure names M when every start fails. K < M*(3d+2) triggers
+    UnderdeterminedWarning but still fits.
     """
     m, x0, log_delta = _log_offsets(data, m, x0)
     n_params = m * params_width(data.d)
@@ -642,7 +686,10 @@ def fit_fixed_m(data: Dataset, m: int, cfg: FitConfig, x0) -> FitResult:
             scale = min(_JITTER_STEP * s, _JITTER_CAP)
             v_start = anchor + scale * gen.standard_normal(n_params)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = least_squares(residuals, v_start, jac=jacobian, max_nfev=budget)
+            try:
+                result = least_squares(residuals, v_start, jac=jacobian, max_nfev=budget)
+            except _NotFinite:
+                continue
         cost = 2.0 * float(result.cost)
         if math.isfinite(cost):
             candidates.append((cost, s, result.x))

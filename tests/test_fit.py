@@ -34,7 +34,7 @@ from stochtaylor import (
 from stochtaylor.bench import get_test_function, make_dataset
 from stochtaylor.fit import fit_result_to_dict, params_width, selected_fit_to_dict
 
-from conftest import random_model
+from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_model
 
 
 def single_power_dataset(K: int = 200) -> Dataset:
@@ -324,25 +324,68 @@ def jittered(anchor: np.ndarray, start: int) -> np.ndarray:
     return anchor + min(fit_mod._JITTER_STEP * start, fit_mod._JITTER_CAP) * noise
 
 
-def trf_against_scipy(callbacks, x0, max_nfev: int):
-    """fit.least_squares's result, checked against scipy's TRF with fit_fixed_m's settings."""
+def traced(callbacks):
+    """The callbacks with a log: ``trials`` holds each residual call's x and
+    ``accepted`` the cost at each Jacobian call, that is at x0 and at every
+    point whose step TRF took."""
+    fun, jac = callbacks
+    trials, accepted, last_cost = [], [], []
+
+    def traced_fun(x):
+        f = fun(x)
+        trials.append(x.copy())
+        last_cost[:] = [0.5 * float(f @ f)]
+        return f
+
+    def traced_jac(x):
+        accepted.append(last_cost[0])
+        return jac(x)
+
+    return (traced_fun, traced_jac), trials, accepted
+
+
+def assert_cost_falls(accepted, result):
+    """Every taken step lowered the cost, and the result is the last point taken."""
+    assert all(later < earlier for earlier, later in zip(accepted, accepted[1:]))
+    assert result.cost == accepted[-1]
+
+
+def scipy_trf(callbacks, x0, max_nfev: int):
+    """scipy's TRF with fit_fixed_m's settings."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
     fun, jac = callbacks
+    return scipy_optimize.least_squares(
+        fun,
+        x0,
+        jac=jac,
+        method="trf",
+        ftol=fit_mod._REL_TOL,
+        xtol=fit_mod._XTOL,
+        gtol=None,
+        max_nfev=max_nfev,
+    )
+
+
+def trf_against_scipy(callbacks, x0, max_nfev: int):
+    """fit.least_squares's result, checked against scipy's TRF with fit_fixed_m's settings.
+
+    The step comes from the Gram matrix, scipy's from an SVD, so the runs
+    agree up to rounding: the same status and counts, and cost and residuals
+    within 1e-9 relative (the largest deviation measured on these cases is
+    7e-11). x is not compared entry by entry: the mean depends on sigma_a and
+    rho only through their product, so rounding moves x along that flat
+    direction (by up to 8e-6 relative on the ftol stop below) without
+    changing the fit.
+    """
+    (fun, jac), _, accepted = traced(callbacks)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ours = fit_mod.least_squares(fun, x0, jac=jac, max_nfev=max_nfev)
-        ref = scipy_optimize.least_squares(
-            fun,
-            x0,
-            jac=jac,
-            method="trf",
-            ftol=fit_mod._REL_TOL,
-            xtol=fit_mod._XTOL,
-            gtol=None,
-            max_nfev=max_nfev,
-        )
+        ref = scipy_trf(callbacks, x0, max_nfev)
+        residual_gap = np.max(np.abs(callbacks[0](ours.x) - ref.fun))
     assert (ours.status, ours.nfev, ours.njev) == (ref.status, ref.nfev, ref.njev)
-    np.testing.assert_allclose(ours.x, ref.x, rtol=1e-12, atol=0.0)
-    assert ours.cost == pytest.approx(ref.cost, rel=1e-12, abs=0.0)
+    assert ours.cost == pytest.approx(ref.cost, rel=1e-9, abs=0.0)
+    assert residual_gap <= 1e-9 * np.max(np.abs(ref.fun))
+    assert_cost_falls(accepted, ours)
     return ours
 
 
@@ -360,7 +403,7 @@ TRF_PROBLEMS = [
 
 
 class TestLeastSquares:
-    """fit.least_squares is scipy's unbounded TRF: same steps, counts and stop."""
+    """fit.least_squares is scipy's unbounded TRF up to rounding: same counts and stop."""
 
     @pytest.mark.parametrize("budget", [2, 5, 25])
     @pytest.mark.parametrize("start", [0, 1, 3])
@@ -371,9 +414,18 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("problem", TRF_PROBLEMS, ids=lambda p: "%s-K%d-M%d" % p)
     def test_zero_start_matches_scipy(self, problem):
-        # ||x0|| = 0: the first trust region has radius 1.
+        # ||x0|| = 0: scipy's rule makes the first trust radius 1. At x = 0
+        # most columns of J vanish, so the runs part along flat directions
+        # from the first step on; what they share is that radius and the stop.
         callbacks, anchor = trf_problem(*problem)
-        trf_against_scipy(callbacks, np.zeros_like(anchor), 25)
+        (fun, jac), trials, accepted = traced(callbacks)
+        x0 = np.zeros_like(anchor)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ours = fit_mod.least_squares(fun, x0, jac=jac, max_nfev=25)
+            ref = scipy_trf(callbacks, x0, 25)
+        assert np.linalg.norm(trials[1]) <= 1.0 + 1e-12
+        assert ours.status == ref.status
+        assert_cost_falls(accepted, ours)
 
     def test_each_stop_matches_scipy(self):
         callbacks, anchor = trf_problem("identity", 40, 1)
@@ -399,6 +451,87 @@ class TestLeastSquares:
             fit_mod.least_squares(lambda v: fun(v) * math.inf, anchor, jac=jac, max_nfev=5)
         with pytest.raises(ValueError, match="infs or NaNs"):
             fit_mod.least_squares(fun, anchor, jac=lambda v: jac(v) * math.nan, max_nfev=5)
+
+
+def gaussian_jacobian(kind: str, K: int, n: int, seed: int = 5):
+    """A K x n Jacobian and K residuals: ``plain`` Gaussian, ``zero-column``
+    with the s_a column of a component at rho = 0 (exactly 0), or ``scaled``
+    with column scales from 1e-8 to 1e12."""
+    gen = RngStream(seed, 0).generator()
+    J = gen.standard_normal((K, n))
+    if kind == "zero-column":
+        J[:, 1] = 0.0
+    elif kind == "scaled":
+        J *= np.logspace(-8.0, 12.0, n)
+    return J, gen.standard_normal(K)
+
+
+class TestGramStep:
+    """fit._trust_region_step from the Gram matrix is the SVD form's step."""
+
+    @pytest.mark.parametrize("alpha_in", [0.0, 3.0])
+    def test_full_rank_step_inside_the_region(self, alpha_in):
+        J, f = gaussian_jacobian("plain", 40, 8)
+        gauss_newton = np.linalg.lstsq(J, -f, rcond=None)[0]
+        Delta = 2.0 * np.linalg.norm(gauss_newton)
+        (p, alpha), (p_ref, alpha_ref), full_rank = gram_and_svd_steps(J, f, Delta, alpha_in)
+        assert full_rank and alpha == alpha_ref == 0.0
+        assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+    @pytest.mark.parametrize("alpha_in", [0.0, "twice"])
+    @pytest.mark.parametrize("tau", [1e-6, 1e-3, 1.0])
+    @pytest.mark.parametrize(
+        "kind, K, n, full_rank",
+        [
+            ("plain", 40, 8, True),
+            ("zero-column", 40, 8, False),
+            ("plain", 10, 16, False),
+            ("scaled", 30, 8, False),
+        ],
+    )
+    def test_boundary_step(self, kind, K, n, full_rank, tau, alpha_in):
+        J, f = gaussian_jacobian(kind, K, n)
+        alpha_star = tau * np.linalg.norm(J, 2) ** 2
+        Delta = radius_for(J, f, alpha_star)
+        alpha_in = 2.0 * alpha_star if alpha_in == "twice" else alpha_in
+        (p, alpha), (p_ref, alpha_ref), got_rank = gram_and_svd_steps(J, f, Delta, alpha_in)
+        assert got_rank == full_rank
+        assert np.linalg.norm(p - p_ref) <= STEP_RTOL * Delta
+        assert alpha == pytest.approx(alpha_ref, rel=STEP_RTOL)
+        assert np.linalg.norm(p) == pytest.approx(Delta, rel=1e-12)
+
+    def test_rank_cut_is_set_for_the_gram_matrix(self):
+        # w_min > eps * K * w_max: a condition number of 1e6 is full rank and
+        # one of 1e9 is not, though scipy's cut s_min > eps * K * s_max would
+        # take the Gauss-Newton step there too.
+        gen = RngStream(2, 0).generator()
+        U = np.linalg.qr(gen.standard_normal((40, 8)))[0]
+        V = np.linalg.qr(gen.standard_normal((8, 8)))[0]
+        f = gen.standard_normal(40)
+        for cond, full_rank in [(1e6, True), (1e9, False)]:
+            J = U @ np.diag(np.logspace(0.0, -math.log10(cond), 8)) @ V.T
+            assert fit_mod._gram_eigen(J, J.T @ f)[3] == full_rank
+
+    def test_underdetermined_fit_takes_only_rank_deficient_steps(self, monkeypatch):
+        # exp2d at K=10, M=2: 16 parameters for 10 residuals.
+        real_step = fit_mod._trust_region_step
+        ranks = []
+
+        def recording_step(gv, w, V, full_rank, Delta, alpha):
+            ranks.append(full_rank)
+            return real_step(gv, w, V, full_rank, Delta, alpha)
+
+        monkeypatch.setattr(fit_mod, "_trust_region_step", recording_step)
+        (fun, jac), anchor = trf_problem("exp2d", 10, 2)
+        assert anchor.size == 16
+        for start in (0, 1, 3):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fit_mod.least_squares(fun, jittered(anchor, start), jac=jac, max_nfev=25)
+        assert len(ranks) >= 3 and not any(ranks)
+
+
+# The solver itself, for wrappers that monkeypatch fit.least_squares more than once.
+LEAST_SQUARES = fit_mod.least_squares
 
 
 class TestFitFixedM:
@@ -454,6 +587,56 @@ class TestFitFixedM:
         data = single_power_dataset(30)
         with pytest.raises(FitFailure, match="M=3"):
             fit_fixed_m(data, 3, FitConfig(n_starts=2, max_iters=8, seed=0), [0.0])
+
+    @staticmethod
+    def non_finite_at(monkeypatch, bad_starts, which: str = "jac") -> list:
+        """Make the Jacobian (``which="jac"``) or the residuals (``"fun"``) of the
+        starts ``bad_starts`` (all when None) non-finite; returns each start's
+        TrfResult, None for a start that raised."""
+        results = []
+
+        def least_squares(fun, x0, *, jac, max_nfev):
+            bad = bad_starts is None or len(results) in bad_starts
+            results.append(None)
+            if bad and which == "jac":
+                result = LEAST_SQUARES(fun, x0, jac=lambda v: jac(v) * math.nan, max_nfev=max_nfev)
+            elif bad:
+                result = LEAST_SQUARES(lambda v: fun(v) * math.inf, x0, jac=jac, max_nfev=max_nfev)
+            else:
+                result = LEAST_SQUARES(fun, x0, jac=jac, max_nfev=max_nfev)
+            results[-1] = result
+            return result
+
+        monkeypatch.setattr(fit_mod, "least_squares", least_squares)
+        return results
+
+    @pytest.mark.parametrize("which", ["jac", "fun"])
+    def test_a_start_with_non_finite_values_fails_alone(self, monkeypatch, which):
+        x = np.linspace(0.1, 3.0, 30)
+        noise = 0.01 * RngStream(0, 0).generator().standard_normal(30)
+        data = Dataset(x[:, None], 2.0 * x**1.5 + noise)
+        cfg = FitConfig(n_starts=3, max_iters=600, seed=0)
+        clean_runs = self.non_finite_at(monkeypatch, ())
+        clean = fit_fixed_m(data, 1, cfg, [0.0])
+        converged = [run.status > 0 for run in clean_runs]
+        # Start 0 wins and start 2 does not converge: dropping either one shows.
+        assert clean.best_start_index == 0 and converged == [True, True, False]
+        for bad in (0, 2):
+            runs = self.non_finite_at(monkeypatch, (bad,), which)
+            result = fit_fixed_m(data, 1, cfg, [0.0])
+            assert runs[bad] is None and len(runs) == 3
+            assert result.n_starts_converged == sum(converged) - converged[bad]
+            winner = min((run.cost, s) for s, run in enumerate(clean_runs) if s != bad)[1]
+            assert result.best_start_index == winner
+            if winner == clean.best_start_index:
+                assert (result.model, result.rss) == (clean.model, clean.rss)
+
+    def test_every_start_with_a_non_finite_jacobian_is_a_named_failure(self, monkeypatch):
+        runs = self.non_finite_at(monkeypatch, None)
+        data = single_power_dataset(30)
+        with pytest.raises(FitFailure, match="M=2"):
+            fit_fixed_m(data, 2, FitConfig(n_starts=3, max_iters=30, seed=0), [0.0])
+        assert runs == [None, None, None]
 
     def test_skips_a_start_whose_rss_overflows(self, monkeypatch):
         # Finite predictions whose squared residuals overflow: the start is

@@ -1,6 +1,6 @@
 """Property tests: the closed-form kernel (block layout, row errors, overflow),
-the parameter transform, Monte Carlo block partitions, and the stops of the
-order scan."""
+the parameter transform, the trust-region step, Monte Carlo block partitions,
+and the stops of the order scan."""
 
 import math
 from unittest import mock
@@ -42,7 +42,7 @@ from stochtaylor.model import (
 )
 from stochtaylor.simulate import _BLOCK as _MC_BLOCK
 
-from conftest import random_model
+from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_model
 
 
 # Derandomized and without an example database: the suite stays deterministic
@@ -240,6 +240,34 @@ def test_vectorised_jacobian_matches_the_component_loop(seed, d, m, K, region):
         want = loop_jacobian(aux, m, d, log_delta)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@examples(100)
+@given(
+    seed=seeds,
+    K=st.integers(1, 40),
+    n=st.integers(1, 20),
+    kind=st.sampled_from(["plain", "zero column", "scaled columns"]),
+    log_tau=st.floats(-6.0, 0.0),
+    seed_alpha=st.sampled_from([0.0, 0.5, 2.0]),
+)
+def test_gram_trust_region_step_matches_the_svd_step(seed, K, n, kind, log_tau, seed_alpha):
+    # Any J, full rank or not, and a radius whose exact step has alpha =
+    # tau * s_max**2: the Gram form gives the SVD reference's p and alpha.
+    gen = RngStream(seed, 0).generator()
+    J = gen.standard_normal((K, n))
+    if kind == "zero column":
+        J[:, int(gen.integers(n))] = 0.0
+    elif kind == "scaled columns":
+        J *= 10.0 ** gen.uniform(-8.0, 12.0, n)
+    f = gen.standard_normal(K)
+    alpha_star = 10.0**log_tau * np.linalg.norm(J, 2) ** 2
+    assume(alpha_star > 0.0)
+    Delta = radius_for(J, f, alpha_star)
+    assume(Delta > 0.0)
+    (p, alpha), (p_ref, alpha_ref), _ = gram_and_svd_steps(J, f, Delta, seed_alpha * alpha_star)
+    assert np.linalg.norm(p - p_ref) <= STEP_RTOL * Delta
+    assert alpha == pytest.approx(alpha_ref, rel=STEP_RTOL)
 
 
 @examples(100)
