@@ -553,10 +553,11 @@ def model_from_json(text: str) -> SteModel:
 
 
 # Rows that csv_text formats as one piece of text. Only one block's line
-# strings and Python floats are alive at a time; holding every line until
-# the end instead left about 1 MiB more of the allocator's memory in use
-# after a 40k-row CLI predict, which raised the peak of an envelope that
-# followed it.
+# strings and Python floats are alive at a time. Holding every line until
+# the end instead raised the traced peak of a 40k-row CLI predict from 7.7
+# to 10.1 MiB, and the resident peak of that predict followed by a CLI
+# envelope of 10^4 realizations on 200 points from 46.4 to 50.7 MiB: the
+# predict, not the envelope, sets that peak.
 _CSV_BLOCK_ROWS = 512
 
 

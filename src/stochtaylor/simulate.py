@@ -17,6 +17,11 @@ first, then its events in realization order, in chunks of at most
 whatever the rate. A batch split on block boundaries, the part starting at
 block k drawn from ``rng.child(k)``, reproduces the identical realizations.
 :func:`sample_pattern` is a block of one realization.
+
+:func:`envelope` relies on that split: it draws one block at a time and
+keeps, per grid point, only the values that its two order statistics can
+still need, so its memory is O((alpha * n_real + _BLOCK) * n_points)
+doubles rather than the O(n_real * n_points) of the whole matrix.
 """
 
 from __future__ import annotations
@@ -116,8 +121,10 @@ class Envelope:
     """Pointwise empirical quantile band over shared realizations.
 
     ``lower``/``upper`` are the alpha/2 and 1-alpha/2 empirical quantiles of
-    the realization values at each grid point; ``mean`` is their average.
-    All realizations are evaluated across the whole grid, so the band is
+    the realization values at each grid point: nearest-rank order
+    statistics, as ``np.quantile(..., method="inverted_cdf")`` picks them.
+    ``mean`` is their average, summed in realization order. All
+    realizations are evaluated across the whole grid, so the band is
     coherent along the grid (functional, not per-point-independent).
     """
 
@@ -244,6 +251,20 @@ def ste_realization(pattern: PointPattern, x, x0) -> float:
     return total
 
 
+def _mc_inputs(g: GeneralIntensity, grid, n_real) -> tuple[np.ndarray, int]:
+    """Checked Monte Carlo inputs: the grid's log offsets and n_real as an int.
+
+    Checks, in order: the grid's rows against the origin, a nonempty grid,
+    n_real >= 1, and that every component is sampleable.
+    """
+    log_delta = np.log(_points(grid, g.x0) - g.x0)
+    if log_delta.shape[0] == 0:
+        raise DomainError("grid must contain at least one point")
+    n_real = _as_int(n_real, "n_real", 1)
+    _require_sampleable(g)
+    return log_delta, n_real
+
+
 def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndarray:
     """Random-sum values of n_real realizations at every grid point.
 
@@ -258,11 +279,7 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     block boundaries, with the later part drawn from ``rng.child(k)``,
     reproduces the same matrix bit for bit. Rows with no events are 0.0.
     """
-    log_delta = np.log(_points(grid, g.x0) - g.x0)
-    if log_delta.shape[0] == 0:
-        raise DomainError("grid must contain at least one point")
-    n_real = _as_int(n_real, "n_real", 1)
-    _require_sampleable(g)
+    log_delta, n_real = _mc_inputs(g, grid, n_real)
     arrays = _component_arrays(g)
     values = np.zeros((n_real, log_delta.shape[0]))
     tile_rows = max(1, _TILE // log_delta.shape[0])
@@ -313,18 +330,57 @@ def mc_mean(g: GeneralIntensity, x, n_real: int, rng: RngStream) -> tuple[float,
 def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStream) -> Envelope:
     """Pointwise (alpha/2, 1-alpha/2) empirical quantile band at each grid point.
 
-    Quantiles are nearest-rank (inverted CDF) over n_real shared realizations;
-    each realization is evaluated across the entire grid. Deterministic per
-    (seed, stream_id). The grid's rows are checked against the origin by
-    :func:`mc_values`.
+    The result is that of the (n_real, n_points) matrix of :func:`mc_values`
+    with the same ``rng``: ``lower`` and ``upper`` are its
+    ``np.quantile(..., axis=0, method="inverted_cdf")`` bit for bit, and
+    ``mean`` is its column sums taken in row order, divided by n_real (bit
+    for bit ``values.mean(axis=0)`` on grids of two or more points; on a
+    one-point grid numpy sums pairwise instead, and the two agree to
+    rounding). Deterministic per (seed, stream_id). Inputs are checked
+    before any realization is drawn.
+
+    The matrix is never held. Block b (``_BLOCK`` rows) is drawn by
+    ``mc_values(g, grid, rows, rng.child(b))``, which are the matrix's rows
+    ``b*_BLOCK`` onward, and folded into two running tails per point: the
+    k_lo smallest and the k_hi largest values seen so far. With j_lo and
+    j_hi the order-statistic indices that the inverted CDF picks for
+    n_real, k_lo = j_lo + 1 and k_hi = n_real - j_hi, so ``lower`` is the
+    largest value of the low tail and ``upper`` the smallest of the high
+    tail. Memory is O((k_lo + k_hi + _BLOCK) * n_points) doubles, with
+    k_lo and k_hi about alpha/2 * n_real; finding j_lo and j_hi takes a
+    further 16 bytes per realization, freed before the first block.
     """
     pts = _point_matrix(grid, g.d)
     alpha = _alpha(alpha)
-    values = mc_values(g, pts, n_real, rng)
+    _, n_real = _mc_inputs(g, pts, n_real)
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
-    lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")
-    mean = values.mean(axis=0)
-    return Envelope(grid=pts, lower=lower, upper=upper, mean=mean, alpha=alpha, n_real=n_real)
+    j_lo, j_hi = np.quantile(np.arange(n_real, dtype=float), probs, method="inverted_cdf")
+    # Each tail keeps its k values in columns :k and takes the next block in
+    # the columns after them; the high tail holds negated values, so both
+    # keep their k smallest. The inf fill is gone from a tail once k values
+    # have arrived, and k <= n_real.
+    tails = [
+        (k, np.full((pts.shape[0], k + min(_BLOCK, n_real)), np.inf))
+        for k in (int(j_lo) + 1, n_real - int(j_hi))
+    ]
+    total = None
+    for b, lo in enumerate(range(0, n_real, _BLOCK)):
+        block = mc_values(g, pts, min(_BLOCK, n_real - lo), rng.child(b))
+        width = block.shape[0]
+        for (k, tail), sign in zip(tails, (1.0, -1.0)):
+            np.multiply(block.T, sign, out=tail[:, k : k + width])
+            tail[:, : k + width].partition(k - 1, axis=1)
+        # Column sums in row order, as values.sum(axis=0) takes them on two
+        # or more columns: the running total enters as the block's first row.
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
+    (k_lo, low), (k_hi, high) = tails
+    lower = low[:, :k_lo].max(axis=1)
+    upper = -high[:, :k_hi].max(axis=1)
+    return Envelope(
+        grid=pts, lower=lower, upper=upper, mean=total / n_real, alpha=alpha, n_real=n_real
+    )
 
 
 def envelope_to_csv(env: Envelope) -> str:

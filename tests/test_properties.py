@@ -1,6 +1,7 @@
 """Property tests: the closed-form kernel (block layout, row errors, overflow),
 the parameter transform, the trust-region step, Monte Carlo block partitions,
-and the stops of the order scan."""
+the envelope against the realization matrix, and the stops of the order
+scan."""
 
 import math
 from unittest import mock
@@ -23,6 +24,7 @@ from stochtaylor import (
     RngStream,
     SteModel,
     centered_power_moment,
+    envelope,
     evaluate,
     from_taylor_polynomial,
     mc_values,
@@ -319,6 +321,44 @@ def test_mc_values_split_on_block_boundaries_is_bit_identical(seed, d, m, lam, b
     whole = mc_values(g, points, sum(sizes), rng)
     pieces = [mc_values(g, points, size, rng.child(int(b))) for size, b in zip(sizes, starts)]
     assert np.array_equal(whole, np.vstack(pieces))
+
+
+@examples(40)
+@given(
+    seed=seeds,
+    d=st.integers(1, 2),
+    m=st.integers(1, 3),
+    lam=st.floats(0.05, 3.0),
+    n_points=st.integers(1, 4),
+    n_real=st.sampled_from([1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 7]),
+    alpha=st.floats(1e-3, 0.999),
+)
+@example(seed=3, d=2, m=2, lam=0.05, n_points=2, n_real=2 * _MC_BLOCK + 7, alpha=1e-3)
+@example(seed=4, d=1, m=1, lam=3.0, n_points=1, n_real=2 * _MC_BLOCK + 7, alpha=0.999)
+def test_envelope_is_the_reduction_of_the_matrix(seed, d, m, lam, n_points, n_real, alpha):
+    # envelope draws block by block and keeps only two tails per point; it
+    # must give what the whole mc_values matrix gives. Low rates leave many
+    # rows exactly 0.0, so the order statistics are full of ties.
+    model = random_model(seed, d, m)
+    g = GeneralIntensity(
+        lam=lam, weights=model.weights, components=model.components, d=d, x0=model.x0
+    )
+    gen = RngStream(seed, 1).generator()
+    points = np.asarray(model.x0) + gen.uniform(0.2, 2.0, (n_points, d))
+    env = envelope(g, points, n_real, alpha, RngStream(seed, 2))
+    values = mc_values(g, points, n_real, RngStream(seed, 2))
+    probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+    lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")
+    assert np.array_equal(env.lower, lower)
+    assert np.array_equal(env.upper, upper)
+    want = values.mean(axis=0)
+    if n_points >= 2:
+        assert np.array_equal(env.mean, want)
+    else:
+        # One column: numpy sums it pairwise, envelope in row order across
+        # blocks. Both are n_real-term sums of the same values.
+        scale = n_real * np.finfo(float).eps * np.abs(values).mean(axis=0)
+        assert np.all(np.abs(env.mean - want) <= 2.0 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,101 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             envelope(g, self.grid(), 100, 1.0, RngStream(0, 0))
 
+    @pytest.mark.parametrize("sizes", TestMcValues.SIZES)
+    def test_band_and_mean_are_the_matrix_reductions(self, monkeypatch, sizes):
+        # Many blocks, and tails longer than a block at alpha = 0.5, on a
+        # rate that leaves about half of the rows exactly 0.0.
+        TestMcValues.with_sizes(monkeypatch, sizes)
+        g = degenerate_intensity(0.7, mu_a=-1.0)
+        grid = np.array([[0.5], [1.0], [2.0]])
+        for n_real, alpha in ((300, 0.5), (300, 0.02), (2_100, 0.1)):
+            env = envelope(g, grid, n_real, alpha, RngStream(64, 1))
+            values = mc_values(g, grid, n_real, RngStream(64, 1))
+            probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+            lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")
+            assert np.array_equal(env.lower, lower)
+            assert np.array_equal(env.upper, upper)
+            assert np.array_equal(env.mean, values.mean(axis=0))
+
+    def test_memory_does_not_grow_with_the_matrix(self):
+        # 2e4 realizations on 500 points: the (n_real, n_points) matrix
+        # alone is 76 MiB. The band keeps about alpha/2 * n_real values per
+        # point and tail, plus one block.
+        g = random_intensity(65, 1, 2)
+        grid = np.linspace(0.5, 2.5, 500)[:, None]
+        tracemalloc.start()
+        try:
+            env = envelope(g, grid, 20_000, 0.05, RngStream(66, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 20_000 * 500 * 8
+        assert np.all(env.lower <= env.upper)
+
+    # Bad inputs: the arguments that differ from a valid call, and the error
+    # and message each raises.
+    UNSAMPLEABLE = GeneralIntensity(
+        lam=1.0,
+        weights=(1.0,),
+        components=(ComponentParams(0.0, 1.0, (1.0, 1.0), (1.0, 1.0), (0.8, 0.7)),),
+        d=2,
+        x0=(0.0, 0.0),
+    )
+    BAD_INPUTS = {
+        "alpha 0": ({"alpha": 0.0}, DomainError, "alpha must lie in (0, 1), got 0.0"),
+        "alpha 1": ({"alpha": 1.0}, DomainError, "alpha must lie in (0, 1), got 1.0"),
+        "alpha nan": ({"alpha": math.nan}, DomainError, "alpha must be finite, got nan"),
+        "alpha bool": ({"alpha": True}, DomainError, "alpha must be a real number, got True"),
+        "empty grid": (
+            {"grid": np.empty((0, 1))}, DomainError, "grid must contain at least one point"
+        ),
+        "grid width": (
+            {"grid": np.ones((3, 2))}, DomainError, "points must be (N, 1), got shape (3, 2)"
+        ),
+        "grid at origin": (
+            {"grid": [[1.0], [0.0]]},
+            DomainError,
+            "row 1: point [0.0] must be finite and lie strictly above the origin [0.0]",
+        ),
+        "n_real 0": ({"n_real": 0}, DomainError, "n_real must be a positive integer, got 0"),
+        "n_real bool": (
+            {"n_real": True}, DomainError, "n_real must be a positive integer, got True"
+        ),
+        "n_real float": (
+            {"n_real": 2.5}, DomainError, "n_real must be a positive integer, got 2.5"
+        ),
+        "unsampleable": (
+            {"g": UNSAMPLEABLE, "grid": [[1.0, 1.0]]},
+            NotSampleableError,
+            "component 0 is not sampleable: sum of squared correlations 1.13 exceeds 1 "
+            "(covariance not positive semidefinite)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_raises_before_any_buffer(self, monkeypatch, case):
+        # A million realizations would need tails of about 2 MiB and index
+        # arrays of 16 MiB; a bad input must raise before any of them, and
+        # before a realization is drawn.
+        bad, error, message = self.BAD_INPUTS[case]
+        args = dict(g=degenerate_intensity(1.0), grid=self.grid(), n_real=10**6, alpha=0.05)
+        args.update(bad)
+
+        def no_draws(*_):
+            raise AssertionError("drew realizations before rejecting the input")
+
+        monkeypatch.setattr(simulate, "mc_values", no_draws)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as info:
+                envelope(**args, rng=RngStream(0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert peak < 2**20
+
     def test_envelope_type_rejects_boolean_count(self):
         one = np.array([1.0])
         with pytest.raises(DomainError):
