@@ -566,16 +566,18 @@ def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
     bounds, ``tr_solver="exact"``, linear loss, unit ``x_scale``,
     ``ftol=_REL_TOL``, ``xtol=_XTOL`` and ``gtol=None``, ported from scipy's
     ``trf_no_bounds`` and ``solve_lsq_trust_region`` (BSD-3-Clause) with the
-    same loop, stops and counts. Where scipy takes an SVD J = U S V^T, each
-    iteration here takes the eigendecomposition of the Gram matrix
-    J^T J = V diag(w) V^T (:func:`_gram_eigen`), which gives the same step:
-    s**2 = w and s * U^T f = V^T J^T f, and for K >> n is cheaper than the
-    SVD of the K x n Jacobian. The fits agree with scipy's up to rounding,
-    not bit for bit, and the rank cut is set for the Gram matrix. ``fun``
-    runs at most ``max_nfev`` times and ``jac(x)`` right after each
-    ``fun(x)`` whose step is taken. Non-finite residuals at x0 raise
-    :class:`_NotFinite`, a ValueError as in scipy, and so does a non-finite
-    Jacobian or one whose Gram matrix overflows.
+    same loop, stops and residual counts. Where scipy takes an SVD
+    J = U S V^T, each iteration here takes the eigendecomposition of the
+    Gram matrix J^T J = V diag(w) V^T (:func:`_gram_eigen`), which gives the
+    same step: s**2 = w and s * U^T f = V^T J^T f, and for K >> n is cheaper
+    than the SVD of the K x n Jacobian. The fits agree with scipy's up to
+    rounding, not bit for bit, and the rank cut is set for the Gram matrix.
+    ``fun`` runs at most ``max_nfev`` times and ``jac(x)`` right after each
+    ``fun(x)`` whose step is taken, except a step that ends the run (a stop
+    is met or the budget is spent). scipy evaluates that Jacobian too, so
+    ``njev`` is scipy's less one when the last step was taken. Non-finite
+    residuals at x0 raise :class:`_NotFinite`, a ValueError as in scipy, and
+    so does a non-finite Jacobian or one whose Gram matrix overflows.
     """
     x = np.array(x0, dtype=float)
     f = fun(x)
@@ -627,9 +629,11 @@ def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
             Delta = Delta_new
         if actual_reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
-            njev += 1
-            g = J.T.dot(f)
+            # A step that ends the run needs no Jacobian: nothing reads it.
+            if not status and nfev < max_nfev:
+                J = jac(x)
+                njev += 1
+                g = J.T.dot(f)
     return TrfResult(x=x, cost=cost, nfev=nfev, njev=njev, status=status)
 
 

@@ -552,13 +552,26 @@ def model_from_json(text: str) -> SteModel:
     return model_from_dict(json.loads(text))
 
 
-# Rows that csv_text formats as one piece of text. Only one block's line
-# strings and Python floats are alive at a time. Holding every line until
-# the end instead raised the traced peak of a 40k-row CLI predict from 7.7
-# to 10.1 MiB, and the resident peak of that predict followed by a CLI
-# envelope of 10^4 realizations on 200 points from 46.4 to 50.7 MiB: the
+# Rows that csv_text formats as one piece of text. Only one block's cell
+# strings and Python numbers are alive at a time. Formatting the whole text
+# as one block instead raised the traced peak of a 40k-row CLI predict from
+# 5.5 to 10.9 MiB, and the resident peak of that predict followed by a CLI
+# envelope of 10^4 realizations on 200 points from 46.1 to 49.5 MiB: the
 # predict, not the envelope, sets that peak.
 _CSV_BLOCK_ROWS = 512
+
+
+def _csv_cells(values: np.ndarray) -> list:
+    """``repr`` of each entry, as the Python number of its dtype.
+
+    Entries are told apart by bit pattern, not by value, so 0.0 and -0.0
+    keep their own texts, and NaNs, which equal nothing, need no special
+    case. Each distinct pattern is formatted once.
+    """
+    bits = values.view(f"u{values.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def csv_text(header, columns) -> str:
@@ -566,15 +579,15 @@ def csv_text(header, columns) -> str:
 
     Each cell is ``repr`` of the Python number of the column's dtype: an
     integer column prints integers, a real column floats that read back
-    exactly.
+    exactly. Every line, the last included, ends in a newline.
     """
     columns = [np.asarray(column) for column in columns]
-    blocks = [",".join(header)]
+    blocks = [",".join(header) + "\n"]
     for start in range(0, columns[0].shape[0], _CSV_BLOCK_ROWS):
         stop = start + _CSV_BLOCK_ROWS
-        rows = zip(*(column[start:stop].tolist() for column in columns))
-        blocks.append("\n".join([",".join(map(repr, row)) for row in rows]))
-    return "\n".join(blocks) + "\n"
+        rows = zip(*(_csv_cells(column[start:stop]) for column in columns))
+        blocks.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(blocks)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -282,7 +282,10 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     log_delta, n_real = _mc_inputs(g, grid, n_real)
     arrays = _component_arrays(g)
     values = np.zeros((n_real, log_delta.shape[0]))
-    tile_rows = max(1, _TILE // log_delta.shape[0])
+    # Every tile is evaluated in place in this one buffer; a tile never
+    # spans two event chunks, so it has at most _CHUNK rows.
+    tile_rows = max(1, min(_TILE // log_delta.shape[0], _CHUNK))
+    buffer = np.empty((tile_rows, log_delta.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         for b, lo in enumerate(range(0, n_real, _BLOCK)):
             block = values[lo : lo + _BLOCK]
@@ -296,7 +299,9 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
             for a, n in chunks:
                 for t in range(0, a.shape[0], tile_rows):
                     ta, tn = a[t : t + tile_rows], n[t : t + tile_rows]
-                    tile = ta[:, None] * np.exp(tn @ log_delta.T)
+                    tile = np.matmul(tn, log_delta.T, out=buffer[: ta.shape[0]])
+                    np.exp(tile, out=tile)
+                    tile *= ta[:, None]
                     # Rows owning the tile's events, and where each one's run
                     # starts inside the tile (the first may begin before it).
                     s = start + t
@@ -341,45 +346,59 @@ def envelope(g: GeneralIntensity, grid, n_real: int, alpha: float, rng: RngStrea
 
     The matrix is never held. Block b (``_BLOCK`` rows) is drawn by
     ``mc_values(g, grid, rows, rng.child(b))``, which are the matrix's rows
-    ``b*_BLOCK`` onward, and folded into two running tails per point: the
-    k_lo smallest and the k_hi largest values seen so far. With j_lo and
-    j_hi the order-statistic indices that the inverted CDF picks for
+    ``b*_BLOCK`` onward, and folded into two running tails per point that
+    hold the k_lo smallest and the k_hi largest values seen so far. With
+    j_lo and j_hi the order-statistic indices that the inverted CDF picks for
     n_real, k_lo = j_lo + 1 and k_hi = n_real - j_hi, so ``lower`` is the
-    largest value of the low tail and ``upper`` the smallest of the high
-    tail. Memory is O((k_lo + k_hi + _BLOCK) * n_points) doubles, with
-    k_lo and k_hi about alpha/2 * n_real; finding j_lo and j_hi takes a
-    further 16 bytes per realization, freed before the first block.
+    k_lo-th smallest value and ``upper`` the k_hi-th largest. A tail of k
+    values has room for max(k, _BLOCK) more and is partitioned only when the
+    next block would not fit, so the merge costs O(n_real * n_points) and
+    memory is O((k_lo + k_hi + _BLOCK) * n_points) doubles, with k_lo and
+    k_hi about alpha/2 * n_real; finding j_lo and j_hi takes a further 16
+    bytes per realization, freed before the first block.
     """
     pts = _point_matrix(grid, g.d)
     alpha = _alpha(alpha)
     _, n_real = _mc_inputs(g, pts, n_real)
     probs = [alpha / 2.0, 1.0 - alpha / 2.0]
     j_lo, j_hi = np.quantile(np.arange(n_real, dtype=float), probs, method="inverted_cdf")
-    # Each tail keeps its k values in columns :k and takes the next block in
-    # the columns after them; the high tail holds negated values, so both
-    # keep their k smallest. The inf fill is gone from a tail once k values
-    # have arrived, and k <= n_real.
+    # Each tail is [k, fill, buffer]: the buffer's first fill columns hold
+    # values whose k smallest are the k smallest seen so far. The high tail
+    # holds negated values, so both keep their k smallest. A partition puts
+    # them in columns :k and frees the slack after them; the slack is at
+    # least a block wide and at least k, so each partition follows at least
+    # max(k, block) new values.
+    width = min(_BLOCK, n_real)
     tails = [
-        (k, np.full((pts.shape[0], k + min(_BLOCK, n_real)), np.inf))
+        [k, 0, np.empty((pts.shape[0], k + max(k, width)))]
         for k in (int(j_lo) + 1, n_real - int(j_hi))
     ]
     total = None
     for b, lo in enumerate(range(0, n_real, _BLOCK)):
         block = mc_values(g, pts, min(_BLOCK, n_real - lo), rng.child(b))
-        width = block.shape[0]
-        for (k, tail), sign in zip(tails, (1.0, -1.0)):
-            np.multiply(block.T, sign, out=tail[:, k : k + width])
-            tail[:, : k + width].partition(k - 1, axis=1)
+        rows = block.shape[0]
+        for tail, sign in zip(tails, (1.0, -1.0)):
+            k, fill, buffer = tail
+            if fill + rows > buffer.shape[1]:
+                buffer[:, :fill].partition(k - 1, axis=1)
+                fill = k
+            np.multiply(block.T, sign, out=buffer[:, fill : fill + rows])
+            tail[1] = fill + rows
         # Column sums in row order, as values.sum(axis=0) takes them on two
         # or more columns: the running total enters as the block's first row.
         if total is not None:
             block[0] += total
         total = block.sum(axis=0)
-    (k_lo, low), (k_hi, high) = tails
-    lower = low[:, :k_lo].max(axis=1)
-    upper = -high[:, :k_hi].max(axis=1)
+    for k, fill, buffer in tails:
+        buffer[:, :fill].partition(k - 1, axis=1)
+    (k_lo, _, low), (k_hi, _, high) = tails
     return Envelope(
-        grid=pts, lower=lower, upper=upper, mean=total / n_real, alpha=alpha, n_real=n_real
+        grid=pts,
+        lower=low[:, k_lo - 1],
+        upper=-high[:, k_hi - 1],
+        mean=total / n_real,
+        alpha=alpha,
+        n_real=n_real,
     )
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from stochtaylor import (
     predict_original_units,
     save_model,
 )
-from stochtaylor.model import SCHEMA_VERSION, _as_float_array, _point_matrix
+from stochtaylor.model import SCHEMA_VERSION, _as_float_array, _point_matrix, csv_text
 
 from conftest import random_model
 
@@ -427,3 +428,21 @@ class TestSerialization:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert doc["version"] == SCHEMA_VERSION
+
+
+class TestCsvText:
+    def test_memory_of_a_cli_predict(self):
+        # The 40,000 rows of a CLI predict on a 200x200 grid. The text and
+        # its blocks take twice its length; also copying the whole text once
+        # more, as a final newline appended to it would, reaches three times.
+        axis = np.linspace(0.1, 7.0, 200)
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = np.exp(points[:, 0]) * np.sin(points[:, 1])
+        tracemalloc.start()
+        try:
+            text = csv_text(["x_1", "x_2", "value"], [*points.T, values])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 40_001
+        assert peak <= 2.5 * len(text)

@@ -1,7 +1,7 @@
 """Property tests: the closed-form kernel (block layout, row errors, overflow),
 the parameter transform, the trust-region step, Monte Carlo block partitions,
-the envelope against the realization matrix, and the stops of the order
-scan."""
+the envelope against the realization matrix, the CSV writer against per-cell
+repr, and the stops of the order scan."""
 
 import math
 from unittest import mock
@@ -41,6 +41,7 @@ from stochtaylor.model import (
     _LOG_MAX,
     _mean_values,
     _stack_components,
+    csv_text,
 )
 from stochtaylor.simulate import _BLOCK as _MC_BLOCK
 
@@ -359,6 +360,39 @@ def test_envelope_is_the_reduction_of_the_matrix(seed, d, m, lam, n_points, n_re
         # blocks. Both are n_real-term sums of the same values.
         scale = n_real * np.finfo(float).eps * np.abs(values).mean(axis=0)
         assert np.all(np.abs(env.mean - want) <= 2.0 * scale)
+
+
+# Values whose text is easy to get wrong when cells are formatted once per
+# distinct value: signed zeros, NaNs of either sign, infinities, the smallest
+# subnormal.
+_CSV_SPECIALS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324)
+
+
+@examples(30)
+@given(
+    seed=seeds,
+    n_rows=st.sampled_from([0, 1, 511, 512, 513, 1025]),
+    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    pool=st.lists(st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats()), max_size=6),
+)
+def test_csv_text_is_the_repr_of_every_cell(seed, n_rows, kinds, pool):
+    # Each column repeats a few values, as grid coordinates do, drawn from
+    # the specials, the pool and four normals. The float columns are strided
+    # views of one (n_rows, k) array, as the CLI passes a grid's coordinates.
+    gen = RngStream(seed, 0).generator()
+    floats = np.array([*_CSV_SPECIALS, *pool, *gen.standard_normal(4)])
+    n_float = kinds.count("float")
+    grid = floats[gen.integers(0, floats.size, (n_rows, n_float))]
+    ints = [
+        np.where(gen.random(n_rows) < 0.1, gen.integers(-(2**63), 2**63 - 1, n_rows), 0)
+        + gen.integers(-3, 4, n_rows)
+        for _ in range(len(kinds) - n_float)
+    ]
+    columns = [*grid.T, *ints]
+    header = [f"c{i}" for i in range(len(columns))]
+    lines = [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert csv_text(header, columns) == "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,23 @@ class TestEnvelope:
             assert np.array_equal(env.upper, upper)
             assert np.array_equal(env.mean, values.mean(axis=0))
 
+    def test_tails_longer_than_several_blocks(self, monkeypatch):
+        # Blocks of 8: a tail of k values takes max(k, 8) more before it is
+        # partitioned, so at k = 16 (alpha 0.2 at 160) each partition follows
+        # two whole blocks, and at k of about 100 (alpha 0.5 at 403) about 12
+        # blocks, the last one short.
+        monkeypatch.setattr(simulate, "_BLOCK", 8)
+        g = degenerate_intensity(0.7, mu_a=-1.0)
+        grid = np.array([[0.5], [2.0]])
+        for n_real, alpha in ((160, 0.2), (403, 0.5), (403, 0.05)):
+            env = envelope(g, grid, n_real, alpha, RngStream(67, 1))
+            values = mc_values(g, grid, n_real, RngStream(67, 1))
+            probs = [alpha / 2.0, 1.0 - alpha / 2.0]
+            lower, upper = np.quantile(values, probs, axis=0, method="inverted_cdf")
+            assert np.array_equal(env.lower, lower)
+            assert np.array_equal(env.upper, upper)
+            assert np.array_equal(env.mean, values.mean(axis=0))
+
     def test_memory_does_not_grow_with_the_matrix(self):
         # 2e4 realizations on 500 points: the (n_real, n_points) matrix
         # alone is 76 MiB. The band keeps about alpha/2 * n_real values per
