@@ -29,8 +29,9 @@ scipy's Trust Region Reflective solver (``trf_no_bounds`` and
 It keeps scipy's loop, stops and counts, but computes the step from one
 eigendecomposition of the Gram matrix J^T J per iteration instead of an SVD
 of J, so its fits agree with ``scipy.optimize.least_squares(method="trf")``
-up to rounding, not bit for bit. A start whose residuals at x0 or whose
-Jacobian are not finite fails alone.
+up to rounding, not bit for bit. The objective is not clipped: a trial step
+whose residuals overflow is rejected and the trust region shrinks, and a
+start whose residuals at x0 or whose Jacobian are not finite fails alone.
 
 Everything is deterministic given (data, config including seed).
 """
@@ -83,16 +84,9 @@ __all__ = [
 ]
 
 # Transformed-space constants. SIGMA_FLOOR keeps standard deviations positive
-# without letting them collapse to exact zero inside the optimizer. _EXP_CLIP
-# and _COEFF_CLIP cap the power factor and the coefficient of every term so
-# that predictions, residuals, and squared costs stay finite for any
-# parameter vector (20 clipped terms leave sum(residual^2) < 1e300); both
-# caps sit many orders of magnitude outside any parameter region a usable
-# fit can occupy, and derivative paths through a clipped quantity are zeroed.
-# This is the optimizer's side of the overflow policy in the model docstring.
+# without letting them collapse to exact zero inside the optimizer. Nothing
+# else bounds the objective: see the overflow policy in the model docstring.
 SIGMA_FLOOR = 1e-8
-_EXP_CLIP = 200.0
-_COEFF_CLIP = 1e60
 # Step-size stopping tolerance: overparameterized component counts produce
 # long degenerate valleys where the RSS improvement test alone grinds until
 # the evaluation budget; a small-step exit ends those runs early.
@@ -312,18 +306,22 @@ def _param_vector(v, m: int, d: int) -> np.ndarray:
 
 
 def _log_offsets(data: Dataset, m: int, x0) -> tuple[int, np.ndarray, np.ndarray]:
-    """Checked M and origin, and the log offsets log(X - x0) of an M-component fit."""
+    """Checked M and origin, and the log offsets log(X - x0) of an M-component fit.
+
+    The (K, d) offsets are F-ordered, so the kernels' ell = log_delta.T is one
+    C-contiguous (d, K) array for the whole fit.
+    """
     m = _as_int(m, "M", 1)
     x0 = np.asarray(_as_float_tuple(x0, "x0", data.d))
-    return m, x0, np.log(_points(data.X, x0) - x0)
+    return m, x0, np.asfortranarray(np.log(_points(data.X, x0) - x0))
 
 
 def _transform(s_a, s_n, z):
-    sigma_a = SIGMA_FLOOR + np.exp(np.minimum(s_a, _EXP_CLIP))
-    sigma_n = SIGMA_FLOOR + np.exp(np.minimum(s_n, _EXP_CLIP))
-    denom = np.sqrt(1.0 + (z**2).sum(axis=1, keepdims=True))
-    rho = z / denom
-    return sigma_a, sigma_n, rho
+    """sigma_a, sigma_n, rho and s = sqrt(1 + ||z||^2) (shape (M, 1)) of the free parameters."""
+    sigma_a = SIGMA_FLOOR + np.exp(s_a)
+    sigma_n = SIGMA_FLOOR + np.exp(s_n)
+    s = np.sqrt(1.0 + (z**2).sum(axis=1, keepdims=True))
+    return sigma_a, sigma_n, z / s, s
 
 
 def pack_params(model: SteModel) -> np.ndarray:
@@ -351,7 +349,9 @@ def unpack_params(v, m: int, d: int, x0) -> SteModel:
     """Model from an unconstrained vector (components canonically re-sorted)."""
     v = _param_vector(v, m, d)
     mu_a, s_a, mu_n, s_n, z = _split_params(v.reshape(m, -1), d)
-    sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
+    # An overflowing sigma is a DomainError from ComponentParams, not a warning.
+    with np.errstate(over="ignore"):
+        sigma_a, sigma_n, rho, _ = _transform(s_a, s_n, z)
     comps = tuple(
         ComponentParams(
             mu_a=float(mu_a[i]),
@@ -366,55 +366,46 @@ def unpack_params(v, m: int, d: int, x0) -> SteModel:
 
 
 def _forward(v: np.ndarray, m: int, d: int, log_delta: np.ndarray):
-    """Predictions of the transformed parameter vector at precomputed log offsets."""
+    """Predictions of the transformed parameter vector at precomputed (K, d) log offsets.
+
+    Works in the (M, K) layout on ell = log_delta.T. Component i's term at
+    point k is C * P, with C = mu_a + sigma_a * corr, corr = (rho * sigma_n) ell
+    and P = exp(mu_n ell + (sigma_n**2 / 2) ell**2). An overflow is not clipped.
+    """
     mu_a, s_a, mu_n, s_n, z = _split_params(v.reshape(m, -1), d)
-    sigma_a, sigma_n, rho = _transform(s_a, s_n, z)
-    corr = log_delta @ (rho * sigma_n).T
-    coeff_raw = mu_a[None, :] + sigma_a[None, :] * corr
-    exponent_sum = log_delta @ mu_n.T + 0.5 * (log_delta**2) @ (sigma_n**2).T
-    coeff_mask = np.abs(coeff_raw) < _COEFF_CLIP
-    coeff = np.clip(coeff_raw, -_COEFF_CLIP, _COEFF_CLIP)
-    power_mask = exponent_sum <= _EXP_CLIP
-    powers = np.exp(np.where(power_mask, exponent_sum, _EXP_CLIP))
-    pred = (coeff * powers).sum(axis=1)
-    return pred, (sigma_a, sigma_n, rho, z, corr, coeff, powers, power_mask, coeff_mask)
+    sigma_a, sigma_n, rho, s = _transform(s_a, s_n, z)
+    ell = log_delta.T
+    corr = (rho * sigma_n).dot(ell)
+    P = np.exp(mu_n.dot(ell) + (0.5 * sigma_n**2).dot(ell**2))
+    CP = (mu_a[:, None] + sigma_a[:, None] * corr) * P
+    return CP.sum(axis=0), (sigma_a, sigma_n, rho, s, corr, P, CP)
 
 
 def _prediction_jacobian(aux, m: int, d: int, log_delta: np.ndarray) -> np.ndarray:
-    """d(prediction)/d(parameter vector), C-contiguous, shape (K, M*(3d+2)).
+    """d(prediction)/d(parameter vector), shape (K, M*(3d+2)), F-ordered.
 
-    Derivative paths through a clipped power factor or clipped coefficient
-    are zeroed (the prediction is locally constant along them). Blocks are
-    formed in an (M, 3d+2, K) array, so inner loops run over the K points,
-    with each element's operations in the order of the per-component loop
-    that tests/test_properties.py keeps as the bit-for-bit reference.
+    Blocks are filled in an (M, 3d+2, K) array, so inner loops run over the
+    K points; J is the transposed view of its (M*(3d+2), K) reshape. With
+    rho = z / s and s = sqrt(1 + ||z||^2), sum_r (d pred / d rho_r) z_r =
+    sigma_a P s corr, so the z-block has the closed form
+    d pred / d z_q = (sigma_a P / s) (sigma_n_q ell_q - rho_q corr).
     """
-    sigma_a, sigma_n, rho, z, corr, coeff, powers, power_mask, coeff_mask = aux
+    sigma_a, sigma_n, rho, s, corr, P, CP = aux
+    ell = log_delta.T
     K = log_delta.shape[0]
     JT = np.empty((m, params_width(d), K))
     views = _split_params(JT.swapaxes(1, 2), d)
     j_mu_a, j_s_a, j_mu_n, j_s_n, j_z = (view.swapaxes(1, -1) for view in views)
-    # (M, K) factors of each term, broadcast over (M, d, K) blocks.
-    log_t = np.ascontiguousarray(log_delta.T)
-    P_via_coeff = np.ascontiguousarray((powers * coeff_mask).T)
-    CP_masked = np.ascontiguousarray((coeff * powers * power_mask).T)[:, None, :]
-    j_mu_a[...] = P_via_coeff
-    j_s_a[...] = corr.T * P_via_coeff * (sigma_a - SIGMA_FLOOR)[:, None]
-    P_via_coeff = P_via_coeff[:, None, :]
-    j_mu_n[...] = CP_masked * log_t
-    via_coeff = (sigma_a[:, None] * rho)[:, :, None] * log_t * P_via_coeff
-    via_power = CP_masked * (sigma_n[:, :, None] * log_t**2)
-    j_s_n[...] = (via_coeff + via_power) * (sigma_n - SIGMA_FLOOR)[:, :, None]
-    # rho = z / s with s = sqrt(1 + ||z||^2). d_rho @ z_i runs on a contiguous
-    # (M, K, d) copy, the loop's operand layout. s**3 is Python's float power:
-    # NumPy's vectorised power can differ from it in the last bit.
-    z_col = z[:, :, None]
-    d_rho = (sigma_a[:, None] * sigma_n)[:, :, None] * log_t * P_via_coeff
-    s = np.sqrt(1.0 + np.matmul(z[:, None, :], z_col))
-    s_cubed = (s.astype(object) ** 3).astype(float)
-    d_rho_z = np.matmul(np.ascontiguousarray(d_rho.swapaxes(1, 2)), z_col).swapaxes(1, 2)
-    j_z[...] = d_rho / s - d_rho_z * z_col / s_cubed
-    return np.ascontiguousarray(JT.transpose(2, 0, 1)).reshape(K, -1)
+    j_mu_a[...] = P
+    j_s_a[...] = corr * P * (sigma_a - SIGMA_FLOOR)[:, None]
+    j_mu_n[...] = CP[:, None, :] * ell
+    # d pred / d sigma_n_r = (sigma_a rho_r P + C P sigma_n_r ell_r) ell_r.
+    sn_ell = sigma_n[:, :, None] * ell
+    via_coeff = (sigma_a[:, None] * rho)[:, :, None] * P[:, None, :]
+    j_s_n[...] = (via_coeff + CP[:, None, :] * sn_ell) * ell * (sigma_n - SIGMA_FLOOR)[:, :, None]
+    aP_s = (sigma_a[:, None] / s * P)[:, None, :]
+    j_z[...] = aP_s * (sn_ell - rho[:, :, None] * corr[:, None, :])
+    return JT.reshape(-1, K).T
 
 
 def objective_value(v, m: int, data: Dataset, x0) -> float:
@@ -436,7 +427,9 @@ def objective_gradient(v, m: int, data: Dataset, x0) -> np.ndarray:
 def _taylor_start(y: np.ndarray, m: int, d: int, log_delta: np.ndarray) -> np.ndarray:
     """Polynomial-like anchor: powers 0..M-1 per coordinate, OLS coefficients."""
     powers = np.arange(m, dtype=float)
-    basis = np.exp(np.minimum(np.outer(log_delta.sum(axis=1), powers), _EXP_CLIP))
+    # The anchor's own cap, not the objective's overflow policy: lstsq on a
+    # basis with an inf raises LinAlgError, which would end the whole order.
+    basis = np.exp(np.minimum(np.outer(log_delta.sum(axis=1), powers), 200.0))
     coeffs, *_ = np.linalg.lstsq(basis, y, rcond=None)
     V = np.empty((m, params_width(d)))
     mu_a, s_a, mu_n, s_n, z = _split_params(V, d)
@@ -496,15 +489,16 @@ def _phi_and_derivative(alpha, gv, w, Delta):
 def _gram_eigen(J: np.ndarray, g: np.ndarray):
     """V^T g, w, V and the rank flag of the Gram matrix J^T J = V diag(w) V^T.
 
-    ``g`` is J^T f. Eigenvalues come in the SVD's descending order, and a
-    zero eigenvalue that rounding left negative is set to 0. The Gauss-Newton
-    step counts as defined (``full_rank``) when K >= n and
-    w_min > eps * K * w_max: the eigenvalues carry rounding errors of about
-    eps * w_max, so smaller ones are noise. That admits a condition number of
-    J up to 1 / sqrt(eps * K), where scipy's cut on the singular values,
-    s_min > eps * K * s_max, admits 1 / (eps * K). A Jacobian that is not
-    finite, or whose Gram matrix overflows (|J| above about 1e154), raises
-    :class:`_NotFinite`.
+    ``J`` is :func:`_prediction_jacobian`'s F-ordered (K, n) array, so J.T
+    is C-ordered and J.T.dot(J) reads contiguous rows. ``g`` is J^T f.
+    Eigenvalues come in the SVD's descending order, and a zero eigenvalue
+    that rounding left negative is set to 0. The Gauss-Newton step counts as
+    defined (``full_rank``) when K >= n and w_min > eps * K * w_max: the
+    eigenvalues carry rounding errors of about eps * w_max, so smaller ones
+    are noise. That admits a condition number of J up to 1 / sqrt(eps * K),
+    where scipy's cut on the singular values, s_min > eps * K * s_max, admits
+    1 / (eps * K). A Jacobian that is not finite, or whose Gram matrix
+    overflows (|J| above about 1e154), raises :class:`_NotFinite`.
     """
     G = J.T.dot(J)
     if not np.isfinite(G).all():

@@ -18,8 +18,9 @@ unscaled. Every evaluation entry point, and ``fit.rss``, runs the one
 vectorised kernel :func:`_mean_values`, whose value at a point does not
 depend on the other points of the call. The optimizer's objective
 ``fit._forward`` computes the same mean with its own code: it contracts over
-d with matrix products, which are several times faster on its fixed
-(K, d) blocks than elementwise sums, and a fit needs no row-independence.
+d with matrix products on one (d, K) array of log offsets per fit, which are
+several times faster than elementwise sums, and a fit needs no
+row-independence.
 
 Points follow one rule everywhere (:func:`_point_matrix`): an (N, d)
 array-like, where a 1-D sequence is a column of points (d = 1); any other
@@ -33,9 +34,13 @@ Overflow policy:
   term or a total would exceed the largest finite double (a term whose
   power product overflows is recomputed in log-magnitude form first). The
   remedy is to work in rescaled units, recorded in ``SteModel.rescale``.
-- The optimizer's objective (``fit._forward``) never raises: it clips each
-  term's power factor at ``exp(200)`` and its coefficient at ``1e60``, and
-  zeroes the Jacobian paths through a clipped quantity.
+- The optimizer's objective (``fit._forward``) and its Jacobian are not
+  clipped and do not raise: a term that overflows makes them non-finite.
+  The fit rejects a trial step whose residuals are not finite and shrinks
+  its trust region, and fails alone a start whose residuals at x0 or whose
+  Jacobian at an accepted point are not finite. A start's model is kept
+  only if evaluation gives its RSS, so a fitted model never depends on an
+  overflowed term.
 - Realizations (``simulate.ste_realization``, ``simulate.mc_values``) raise
   NumericRangeError on any non-finite value.
 """

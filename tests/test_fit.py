@@ -180,27 +180,96 @@ class TestObjective:
                 scale = max(abs(fd), abs(grad[j]), 1e-8)
                 assert abs(grad[j] - fd) <= 1e-4 * scale
 
-    def test_clipped_paths_have_zero_jacobian_entries(self):
-        # Component 1 of 3 (d=2) is pushed past one clip at a time. Its
-        # columns along the clipped paths must be exactly 0 and the same
-        # columns of components 0 and 2 nonzero. Column layout per component:
-        # [mu_a, s_a, mu_n (d), s_n (d), z (d)].
+    def test_trial_step_into_overflow_is_rejected(self, monkeypatch):
+        # One overflow policy: the objective is not clipped, so TRF judges an
+        # overflowing trial itself. Component 1 of 3 (d=2) is stepped to
+        # mu_n = 400 (every power factor overflows: non-finite residuals) or
+        # to mu_a = 1e80 (finite residuals, a cost of about 1e160). Either
+        # trial is rejected: x and cost stay, and the radius shrinks to 0.25
+        # x the step norm.
         m, d, K = 3, 2, 30
         width = params_width(d)
         gen = RngStream(63, 0).generator()
-        log_delta = np.log(gen.uniform(1.5, 3.0, (K, d)))
+        data = Dataset(gen.uniform(3.0, 6.0, (K, d)), gen.normal(size=K))
+        _, _, log_delta = fit_mod._log_offsets(data, m, (0.0, 0.0))
+        fun, jac = fit_mod._least_squares_callbacks(data.y, m, d, log_delta)
         v = gen.uniform(-0.5, 0.5, m * width)
-        v_exp = v.copy()
-        v_exp[width + 2 : width + 2 + d] = 2.0 * fit_mod._EXP_CLIP
-        v_coeff = v.copy()
-        v_coeff[width] = 10.0 * fit_mod._COEFF_CLIP
-        # aux ends with (power_mask, coeff_mask), each (K, M).
-        for v_clip, mask, cols in ((v_exp, -2, [2, 3]), (v_coeff, -1, [0, 1, 6, 7])):
-            _, aux = fit_mod._forward(v_clip, m, d, log_delta)
-            assert not aux[mask][:, 1].any()
-            J = fit_mod._prediction_jacobian(aux, m, d, log_delta).reshape(K, m, width)
-            assert np.all(J[:, 1, cols] == 0.0)
-            assert np.all(J[:, [0, 2]][:, :, cols] != 0.0)
+        f = fun(v)
+        cost = 0.5 * float(f @ f)
+        real_step = fit_mod._trust_region_step
+        for cols, value, finite in (
+            (slice(width + 2, width + 2 + d), 400.0, False),
+            (slice(width, width + 1), 1e80, True),
+        ):
+            step = np.zeros_like(v)
+            step[cols] = value - v[cols]
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isfinite(fun(v + step)).all() == finite
+            for max_nfev in (2, 3):
+                radii = []
+
+                def first_step_into_overflow(gv, w, V, full_rank, Delta, alpha):
+                    radii.append(Delta)
+                    if len(radii) == 1:
+                        return step.copy(), 0.0
+                    return real_step(gv, w, V, full_rank, Delta, alpha)
+
+                monkeypatch.setattr(fit_mod, "_trust_region_step", first_step_into_overflow)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    result = fit_mod.least_squares(fun, v, jac=jac, max_nfev=max_nfev)
+                if max_nfev == 2:
+                    assert np.array_equal(result.x, v) and result.cost == cost
+                    assert (result.nfev, result.njev, result.status) == (2, 1, 0)
+                else:
+                    assert radii[1] == pytest.approx(0.25 * np.linalg.norm(step), rel=1e-15)
+
+    def test_start_in_overflow_fails_alone_without_warnings(self, monkeypatch):
+        # Start 2 begins at mu_n = 400 (non-finite residuals at x0) and start 4
+        # at mu_a = 1e200 (its Gram matrix overflows). Each fails alone with
+        # _NotFinite, the other starts run exactly as without them, and no
+        # RuntimeWarning leaves fit_fixed_m.
+        m, d, K = 2, 2, 60
+        width = params_width(d)
+        gen = RngStream(65, 0).generator()
+        X = gen.uniform(3.0, 6.0, (K, d))
+        data = Dataset(X, np.exp(-X.sum(axis=1)) + 0.01 * gen.normal(size=K))
+        cfg = FitConfig(n_starts=6, max_iters=120, seed=0)
+        real = fit_mod.least_squares
+
+        def fit(poison):
+            outcomes = []
+
+            def least_squares(fun, x0, *, jac, max_nfev):
+                x0 = np.array(x0)
+                if len(outcomes) in poison:
+                    index, value = poison[len(outcomes)]
+                    x0[index] = value
+                try:
+                    outcome = real(fun, x0, jac=jac, max_nfev=max_nfev)
+                except fit_mod._NotFinite as exc:
+                    outcome = exc
+                outcomes.append(outcome)
+                if isinstance(outcome, Exception):
+                    raise outcome
+                return outcome
+
+            monkeypatch.setattr(fit_mod, "least_squares", least_squares)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return fit_fixed_m(data, m, cfg, (0.0, 0.0)), outcomes
+
+        clean, clean_runs = fit({})
+        poisoned, runs = fit({2: (slice(2, 2 + d), 400.0), 4: (width, 1e200)})
+        assert len(runs) == cfg.n_starts
+        for s, (got, want) in enumerate(zip(runs, clean_runs)):
+            if s in (2, 4):
+                assert isinstance(got, fit_mod._NotFinite)
+            else:
+                assert np.array_equal(got.x, want.x) and got.cost == want.cost
+        best = min((r.cost, s) for s, r in enumerate(runs) if s not in (2, 4))[1]
+        assert poisoned.best_start_index == best
+        if clean.best_start_index not in (2, 4):
+            assert poisoned.rss == clean.rss
 
     def test_jacobian_reuses_only_the_last_residuals_forward_pass(self, monkeypatch):
         m, d, K = 3, 2, 40
