@@ -254,8 +254,7 @@ def rss(model: SteModel, data: Dataset) -> float:
 
     Errors name the offending row.
     """
-    pred = _mean_values(data.X, model.x0, _stack_components(model.components))
-    residual = data.y - pred
+    residual = data.y - _mean_values(data.X, model)
     return float(residual @ residual)
 
 

@@ -11,12 +11,12 @@ each component contributes
     (mu_a + sigma_a * sum_r rho_r sigma_n_r ln d_r)
         * prod_r d_r ** (mu_n_r + (sigma_n_r**2 / 2) * ln d_r)
 
-with d_r = x_r - x0_r > 0. :func:`evaluate_general` scales component m of a
-:class:`GeneralIntensity` by ``lam * weights[m]``; :func:`evaluate` sums the
-components of an :class:`SteModel`, the rate-M, uniform-weight intensity,
-unscaled. Every evaluation entry point, and ``fit.rss``, runs the one
-vectorised kernel :func:`_mean_values`, whose value at a point does not
-depend on the other points of the call. The optimizer's objective
+with d_r = x_r - x0_r > 0. By Campbell's theorem the mean under a
+:class:`GeneralIntensity` scales component m by ``lam * weights[m]``; a fitted
+:class:`SteModel` is the case ``lam = M``, ``weights[m] = 1/M``. :func:`evaluate`
+(one point), :func:`predict_grid` (many) and ``fit.rss`` take any intensity
+and run the one vectorised kernel :func:`_mean_values`, whose value at a point
+does not depend on the other points of the call. The optimizer's objective
 ``fit._forward`` computes the same mean with its own code: it contracts over
 d with matrix products on one (d, K) array of log offsets per fit, which are
 several times faster than elementwise sums, and a fit needs no
@@ -51,7 +51,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +64,6 @@ __all__ = [
     "power_moment",
     "centered_power_moment",
     "evaluate",
-    "evaluate_general",
     "from_taylor_polynomial",
     "predict_grid",
     "predict_original_units",
@@ -97,6 +95,8 @@ def _as_finite_float(value, name: str) -> float:
 def _as_float_tuple(values, name: str, length: int | None = None) -> tuple[float, ...]:
     """``values`` as a tuple of :func:`_as_finite_float` reals, ``length`` long if given."""
     try:
+        if isinstance(values, (str, bytes)):  # "23" is not (2.0, 3.0)
+            raise TypeError(f"{name} is a string")
         values = tuple(values)
     except TypeError as exc:
         raise DomainError(f"{name} must be a sequence of reals") from exc
@@ -244,11 +244,10 @@ class GeneralIntensity:
 
     @classmethod
     def from_model(cls, model: SteModel) -> "GeneralIntensity":
-        """Plain intensity with the rate, weights and components of a model.
+        """Plain intensity with the rate, weights, components and origin of a model.
 
-        ``evaluate_general`` on the result reproduces ``evaluate(model, .)``
-        bit for bit whenever ``M * (1.0 / M) == 1.0`` in floating point
-        (true for all M < 49 and most others).
+        Every function that takes an intensity takes the model itself, so
+        this is not needed; it stays because ``perfbench/workloads.py`` calls it.
         """
         return cls(model.lam, model.weights, model.components, model.d, model.x0)
 
@@ -370,12 +369,11 @@ def _stack_components(components) -> tuple[np.ndarray, ...]:
     )
 
 
-def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
-    """Closed-form mean at each of ``points``, checked by :func:`_points`.
+def _mean_values(points, g: GeneralIntensity) -> np.ndarray:
+    """Closed-form mean of intensity ``g`` at each of ``points``, checked by :func:`_points`.
 
-    See the module docstring for the formula. ``arrays`` are the stacked
-    components (:func:`_stack_components`); the optional ``scale``
-    multiplies component m's term (``lam * w_m``). Terms are summed in
+    See the module docstring for the formula: component m's term is
+    multiplied by ``g.lam * g.weights[m]``, and terms are summed in
     component order. Every operation is elementwise along the points, so a
     point's value is the same, bit for bit, alone or inside any grid.
 
@@ -385,8 +383,10 @@ def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
     the largest finite double. Offsets and their logs are formed one block
     at a time, so no grid-sized copy is made.
     """
+    x0 = np.asarray(g.x0)
     pts = _points(points, x0)
-    mu_a, sigma_a, mu_n, sigma_n, rho = arrays
+    mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(g.components)
+    scale = g.lam * np.asarray(g.weights)
     rho_sigma, half_var = rho * sigma_n, 0.5 * sigma_n**2
     out = np.empty(pts.shape[0])
     for start in range(0, pts.shape[0], _BLOCK_ROWS):
@@ -417,8 +417,7 @@ def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
                     "rescale inputs/outputs to smaller units"
                 )
             terms[bad] = np.copysign(np.exp(log_mag), c)
-        if scale is not None:
-            terms = scale * terms
+        terms *= scale
         total = terms[:, 0].copy()
         for j in range(1, terms.shape[1]):
             total += terms[:, j]
@@ -432,23 +431,17 @@ def _mean_values(points, x0, arrays, scale=None) -> np.ndarray:
     return out
 
 
-def evaluate(model: SteModel, x) -> float:
-    """Mean of the random sum at x: components summed in canonical order.
+def evaluate(g: GeneralIntensity, x) -> float:
+    """Mean of the random sum at x under any intensity, a fitted model included.
 
     Raises DomainError unless x[r] > x0[r] for every r, and
     NumericRangeError if any term or the total leaves double range.
     """
-    return float(_mean_values([x], model.x0, _stack_components(model.components))[0])
+    return float(_mean_values([x], g)[0])
 
 
-def evaluate_general(g: GeneralIntensity, x) -> float:
-    """Mean under an arbitrary rate and weights: sum of lam*w_m*component_m.
-
-    With ``lam = M`` and uniform weights this reduces to :func:`evaluate`
-    on the corresponding model (bit for bit when ``M*(1/M) == 1.0``).
-    """
-    scale = g.lam * np.asarray(g.weights)
-    return float(_mean_values([x], g.x0, _stack_components(g.components), scale)[0])
+# ``perfbench/workloads.py`` imports this name; it is not part of the API.
+evaluate_general = evaluate
 
 
 def from_taylor_polynomial(coeffs, x0: float) -> SteModel:
@@ -468,13 +461,13 @@ def from_taylor_polynomial(coeffs, x0: float) -> SteModel:
     return SteModel(d=1, components=tuple(comps), x0=(x0_f,), sigma2=0.0)
 
 
-def predict_grid(model: SteModel, grid) -> np.ndarray:
+def predict_grid(g: GeneralIntensity, grid) -> np.ndarray:
     """:func:`evaluate` at every point of an ordered collection, vectorised.
 
     ``grid`` is an (N, d) array-like (or length-N sequence of points for
     d = 1). Domain errors name the first offending row.
     """
-    return _mean_values(grid, model.x0, _stack_components(model.components))
+    return _mean_values(grid, g)
 
 
 def _to_fitted_units(model: SteModel, points) -> np.ndarray:
@@ -541,7 +534,7 @@ def model_from_dict(doc: dict) -> SteModel:
             x0=doc["x0"],
             sigma2=doc["sigma2"],
             # A document must state its factors: null is not the default here.
-            rescale=tuple(doc["rescale"]),
+            rescale=_as_float_tuple(doc["rescale"], "rescale"),
         )
     except KeyError as exc:
         raise DomainError(f"model document is missing field {exc.args[0]!r}") from None
@@ -598,7 +591,11 @@ def csv_text(header, columns) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write-then-rename so readers never observe a partial file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # Not tempfile.mkstemp, which makes the file 0600 whatever the umask: mode
+    # 0666 lets the umask apply, as it does to a plain open(path, "w").
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp_path, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -19,12 +19,11 @@ import pytest
 from stochtaylor import (
     Dataset,
     FitConfig,
-    GeneralIntensity,
     RngStream,
     UnderdeterminedWarning,
     centered_power_moment,
     envelope,
-    evaluate_general,
+    evaluate,
     fit_fixed_m,
     from_taylor_polynomial,
     mc_values,
@@ -103,7 +102,7 @@ def test_criterion_02_campbell_consistency():
         for j in range(3):
             mean = float(values[:, j].mean())
             se = float(values[:, j].std(ddof=1) / math.sqrt(values.shape[0]))
-            z = abs(mean - evaluate_general(g, pts[j])) / se
+            z = abs(mean - evaluate(g, pts[j])) / se
             worst = max(worst, z)
     elapsed = time.perf_counter() - t0
     ok = worst <= 4.0 and elapsed < 60.0
@@ -211,16 +210,15 @@ def test_criterion_08_envelope_sanity():
     fn = get_test_function("identity")
     data = make_dataset(fn, 500, 1e-5, RngStream(0, 0))
     result = fit_fixed_m(data, 1, FitConfig(n_starts=4, max_iters=400, seed=0), [0.0])
-    g = GeneralIntensity.from_model(result.model)
     grid = np.linspace(0.007, 7.0, 200)[:, None]
     curve = predict_grid(result.model, grid)
-    env = envelope(g, grid, 10**4, 0.05, RngStream(77, 0))
+    env = envelope(result.model, grid, 10**4, 0.05, RngStream(77, 0))
     coverage = float(np.mean((env.lower <= curve) & (curve <= env.upper)))
 
     nested = True
     prev = None
     for alpha in (0.01, 0.05, 0.2, 0.5):
-        band = envelope(g, grid, 2_000, alpha, RngStream(78, 0))
+        band = envelope(result.model, grid, 2_000, alpha, RngStream(78, 0))
         if prev is not None:
             nested = nested and bool(
                 np.all(band.lower >= prev.lower) and np.all(band.upper <= prev.upper)

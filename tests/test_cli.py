@@ -608,13 +608,23 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "change",
-        [{"mu_n": 1.0}, {"components": 5}, {"d": "x"}, {"d": True}, {"d": 1.5}],
+        [
+            {"mu_n": 1.0},
+            {"components": 5},
+            {"d": "x"},
+            {"d": True},
+            {"d": 1.5},
+            {"rescale": "23"},
+            {"x0": "0"},
+        ],
         ids=[
             "mu_n-not-a-list",
             "components-not-a-list",
             "d-not-a-number",
             "d-boolean",
             "d-not-integral",
+            "rescale-a-string",
+            "x0-a-string",
         ],
     )
     def test_malformed_model_is_data_error(self, capsys, tmp_path, toy_model_file, change):

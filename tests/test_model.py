@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +19,6 @@ from stochtaylor import (
     SteModel,
     centered_power_moment,
     evaluate,
-    evaluate_general,
     from_taylor_polynomial,
     load_model,
     mc_mean,
@@ -240,9 +240,8 @@ class TestSteModel:
 
     def test_matches_simulation_mean(self):
         model = random_model(20, 2, 3)
-        g = GeneralIntensity.from_model(model)
         x = (1.7, 2.3)
-        mean, stderr = mc_mean(g, x, 10**5, RngStream(21, 0))
+        mean, stderr = mc_mean(model, x, 10**5, RngStream(21, 0))
         assert abs(mean - evaluate(model, x)) <= 3.0 * stderr
 
     def test_rejects_mixed_dimensions(self):
@@ -289,13 +288,12 @@ class TestGeneralIntensity:
         model = random_model(22, 1, 3)
         g = GeneralIntensity.from_model(model)
         for x in (0.7, 1.0, 2.9):
-            assert evaluate_general(g, (x,)) == evaluate(model, (x,))
-            assert evaluate_general(model, (x,)) == evaluate(model, (x,))
+            assert evaluate(g, (x,)) == evaluate(model, (x,))
 
     def test_unit_offset_scales_by_rate_times_weight(self):
         comp = ComponentParams(3.0, 0.8, (1.0,), (0.4,), (0.1,))
         g = GeneralIntensity(lam=0.5, weights=(1.0,), components=(comp,), d=1, x0=(0.0,))
-        assert evaluate_general(g, (1.0,)) == 0.5 * 3.0
+        assert evaluate(g, (1.0,)) == 0.5 * 3.0
 
     def test_weighted_mixture_matches_simulation_mean(self):
         comps = (
@@ -304,7 +302,7 @@ class TestGeneralIntensity:
         )
         g = GeneralIntensity(lam=3.0, weights=(0.2, 0.8), components=comps, d=1, x0=(0.0,))
         mean, stderr = mc_mean(g, (2.0,), 10**5, RngStream(23, 0))
-        assert abs(mean - evaluate_general(g, (2.0,))) <= 3.0 * stderr
+        assert abs(mean - evaluate(g, (2.0,))) <= 3.0 * stderr
 
     def test_rejects_bad_weights(self):
         comp = ComponentParams(1.0, 0.0, (1.0,), (0.0,), (0.0,))
@@ -420,6 +418,14 @@ class TestSerialization:
         with pytest.raises(DomainError):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field, text", [("rescale", "23"), ("x0", "0")])
+    def test_rejects_a_string_for_a_vector(self, field, text):
+        # A string is not read as a vector of one-character numbers.
+        doc = model_to_dict(random_model(28, 1, 1))
+        doc[field] = text
+        with pytest.raises(DomainError, match=f"{field} must be a sequence of reals"):
+            model_from_dict(doc)
+
     def test_save_and_load(self, tmp_path):
         model = random_model(29, 1, 2)
         path = os.path.join(tmp_path, "model.json")
@@ -428,6 +434,16 @@ class TestSerialization:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         assert doc["version"] == SCHEMA_VERSION
+
+    def test_saved_model_mode_follows_the_umask(self, tmp_path):
+        path = os.path.join(tmp_path, "model.json")
+        previous = os.umask(0o022)
+        try:
+            save_model(random_model(29, 1, 2), path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        assert os.listdir(tmp_path) == ["model.json"]
 
 
 class TestCsvText:

@@ -189,7 +189,7 @@ VECTOR_SITES = {
 @pytest.mark.parametrize("site", sorted(VECTOR_SITES))
 def test_coordinate_vectors_share_one_rule(site):
     call, good = VECTOR_SITES[site]
-    for refused in ([True], ["x"], 0.0, (*good, *good)):
+    for refused in ([True], ["x"], 0.0, "0", (*good, *good)):
         with pytest.raises(DomainError):
             call(refused)
     assert call(np.array(good)) == call(list(good))

@@ -1,7 +1,7 @@
-"""Property tests: the closed-form kernel (block layout, row errors, overflow),
-the parameter transform, the trust-region step, Monte Carlo block partitions,
-the envelope against the realization matrix, the CSV writer against per-cell
-repr, and the stops of the order scan."""
+"""Property tests: the closed-form kernel (block layout, per-component sum,
+row errors, overflow), the parameter transform, the trust-region step, Monte
+Carlo block partitions, the envelope against the realization matrix, the CSV
+writer against per-cell repr, and the stops of the order scan."""
 
 import math
 import warnings
@@ -42,12 +42,11 @@ from stochtaylor.model import (
     _BLOCK_ROWS,
     _LOG_MAX,
     _mean_values,
-    _stack_components,
     csv_text,
 )
 from stochtaylor.simulate import _BLOCK as _MC_BLOCK
 
-from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_model
+from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_intensity, random_model
 
 
 # Derandomized and without an example database: the suite stays deterministic
@@ -67,12 +66,37 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
     extra=st.integers(1, _BLOCK_ROWS),
 )
 def test_predict_grid_on_several_blocks_matches_per_row_evaluate(seed, d, m, extra):
-    model = random_model(seed, d, m)
+    # A fitted model, and a mixture with non-uniform weights and a
+    # non-integer rate: both go through the one kernel.
     gen = RngStream(seed, 1).generator()
-    points = np.asarray(model.x0) + gen.uniform(1e-3, 4.0, (_BLOCK_ROWS + extra, d))
+    for g in (random_model(seed, d, m), random_intensity(seed, d, m)):
+        points = np.asarray(g.x0) + gen.uniform(1e-3, 4.0, (_BLOCK_ROWS + extra, d))
+        got = predict_grid(g, points)
+        want = np.array([evaluate(g, p) for p in points])
+        assert np.array_equal(got, want)
+
+
+@examples(20)
+@given(seed=seeds, d=st.integers(1, 3), m=st.integers(1, 49), n=st.integers(1, 40))
+@example(seed=0, d=2, m=49, n=7)
+def test_model_mean_is_the_running_sum_of_its_one_component_means(seed, d, m, n):
+    # A model's mean scales each term by lam * w_m = M * (1/M), which is
+    # exactly 1.0 for every M < 49 and rounds below 1.0 at M = 49.
+    model = random_model(seed, d, m)
+    points = np.asarray(model.x0) + RngStream(seed, 1).generator().uniform(1e-3, 4.0, (n, d))
+    parts = [
+        predict_grid(SteModel(d=d, components=(c,), x0=model.x0), points)
+        for c in model.components
+    ]
+    want = parts[0].copy()
+    for part in parts[1:]:
+        want += part
     got = predict_grid(model, points)
-    want = np.array([evaluate(model, p) for p in points])
-    assert np.array_equal(got, want)
+    if m < 49:
+        assert np.array_equal(got, want)
+    else:
+        tol = 4.0 * m * np.finfo(float).eps * np.sum(np.abs(parts), axis=0)
+        assert np.all(np.abs(got - want) <= tol)
 
 
 BAD_VALUES = ("nan", "inf", "-inf", "at origin", "below origin")
@@ -98,7 +122,7 @@ def test_bad_point_raises_domain_error_naming_its_row(seed, d, n, data):
     with pytest.raises(DomainError, match=names_row):
         predict_grid(model, points)
     with pytest.raises(DomainError, match=names_row):
-        mc_values(GeneralIntensity.from_model(model), points, 1, RngStream(seed, 2))
+        mc_values(model, points, 1, RngStream(seed, 2))
     if math.isfinite(points[k, r]):  # a Dataset holds finite entries only
         with pytest.raises(DomainError, match=names_row):
             rss(model, Dataset(points, np.zeros(n)))
@@ -134,7 +158,8 @@ def test_kernel_raises_exactly_when_a_component_leaves_double_range(
     assume(abs(log_mag - _LOG_MAX) > 1e-6)
 
     def kernel() -> float:
-        return _mean_values([[delta]], (0.0,), _stack_components([comp]))[0]
+        g = GeneralIntensity(lam=1.0, weights=(1.0,), components=(comp,), d=1, x0=(0.0,))
+        return _mean_values([[delta]], g)[0]
 
     if log_mag > _LOG_MAX:
         with pytest.raises(NumericRangeError):

@@ -17,7 +17,7 @@ from stochtaylor import (
     RngStream,
     envelope,
     envelope_to_csv,
-    evaluate_general,
+    evaluate,
     is_sampleable,
     mc_mean,
     mc_values,
@@ -291,7 +291,7 @@ class TestMcMean:
         g = random_intensity(46, 2, 2)
         x = (1.1, 0.9)
         mean, stderr = mc_mean(g, x, 10**5, RngStream(47, 0))
-        assert abs(mean - evaluate_general(g, x)) <= 3.0 * stderr
+        assert abs(mean - evaluate(g, x)) <= 3.0 * stderr
 
     def test_requires_at_least_two_realizations(self):
         g = degenerate_intensity(1.0)
