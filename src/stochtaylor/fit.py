@@ -79,7 +79,6 @@ __all__ = [
     "objective_gradient",
     "fit_fixed_m",
     "select_model",
-    "fit_result_to_dict",
     "selected_fit_to_dict",
 ]
 
@@ -793,17 +792,6 @@ def select_model(data: Dataset, m_max: int, cfg: FitConfig, x0=None) -> Selected
         skipped=tuple(range(m + 1, m_max + 1)),
         stopped_by=stopped_by,
     )
-
-
-def fit_result_to_dict(result: FitResult) -> dict:
-    return {
-        "model": model_to_dict(result.model),
-        "rss": result.rss,
-        "sigma2": result.sigma2,
-        "n_starts_converged": result.n_starts_converged,
-        "best_start_index": result.best_start_index,
-        "underdetermined": result.underdetermined,
-    }
 
 
 def selected_fit_to_dict(sel: SelectedFit) -> dict:

@@ -18,6 +18,16 @@ whatever the rate. A batch split on block boundaries, the part starting at
 block k drawn from ``rng.child(k)``, reproduces the identical realizations.
 :func:`sample_pattern` is a block of one realization.
 
+:func:`mc_values` sums each realization's terms over the grid in pieces of
+at most ``_TILE // n_points`` events that never cross a chunk, adding the
+pieces to its row in event order, so its work arrays stay near ``_TILE``
+elements. On grids of fewer than ``_GROUP_POINTS`` points it sums the
+pieces inside each tile of consecutive events with one ``np.add.reduceat``;
+on wider grids it gathers the pieces of each length into one array and sums
+them with one ``np.einsum`` product per group, which costs less once a piece
+spans many points. A block's values depend only on its draws and the grid,
+never on the blocks around it.
+
 :func:`envelope` relies on that split: it draws one block at a time and
 keeps, per grid point, only the values that its two order statistics can
 still need, so its memory is O((alpha * n_real + _BLOCK) * n_points)
@@ -68,6 +78,9 @@ _BLOCK = 1024
 _CHUNK = 1 << 14
 # Most elements (events x points) in one evaluation tile.
 _TILE = 1 << 16
+# Fewest grid points on which mc_values sums by event-count groups; below it,
+# the gathers cost more than the per-tile reduceat they replace.
+_GROUP_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -265,6 +278,99 @@ def _mc_inputs(g: GeneralIntensity, grid, n_real) -> tuple[np.ndarray, int]:
     return log_delta, n_real
 
 
+def _exp_terms(n: np.ndarray, log_delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``exp(n @ log_delta.T)`` of (rows, d) powers, evaluated in place in ``out``.
+
+    At d = 1 each exponent is the one product n * log(x - x0), which
+    ``np.multiply`` forms directly; matmul would run numpy's own loop over an
+    inner dimension of 1 at several times the cost, for the same bits.
+    """
+    if log_delta.shape[1] == 1:
+        np.multiply(n, log_delta.T, out=out)
+    else:
+        np.matmul(n, log_delta.T, out=out)
+    return np.exp(out, out=out)
+
+
+def _tile_sums(block, counts, chunks, log_delta, buffer) -> None:
+    """Add each realization's terms into its row of ``block``, a tile at a time.
+
+    A tile is ``buffer.shape[0]`` consecutive events of one chunk; its terms
+    are summed per realization by one ``np.add.reduceat``, and a realization
+    that spans tiles gets one partial sum from each, added in event order.
+    """
+    tile_rows = buffer.shape[0]
+    # Nonempty rows and the block offset of their first event. Rows with no
+    # events own no event and keep their 0.0 (a reduceat over every row's
+    # offset would give them the next row's term).
+    rows = np.flatnonzero(counts)
+    first = (np.cumsum(counts) - counts)[rows]
+    start = 0
+    for a, n in chunks:
+        for t in range(0, a.shape[0], tile_rows):
+            ta, tn = a[t : t + tile_rows], n[t : t + tile_rows]
+            tile = _exp_terms(tn, log_delta, buffer[: ta.shape[0]])
+            tile *= ta[:, None]
+            # Rows owning the tile's events, and where each one's run starts
+            # inside the tile (the first may begin before it).
+            s = start + t
+            i0 = int(np.searchsorted(first, s, side="right")) - 1
+            i1 = int(np.searchsorted(first, s + ta.shape[0], side="left"))
+            runs = np.maximum(first[i0:i1] - s, 0)
+            block[rows[i0:i1]] += np.add.reduceat(tile, runs, axis=0)
+        start += a.shape[0]
+
+
+def _grouped_sums(block, counts, chunks, log_delta, buffer) -> None:
+    """Add each realization's terms into its row of ``block``, a count group at a time.
+
+    Every chunk cuts the realizations it holds into pieces: a piece ends at
+    the realization's end, at the chunk's end, or after ``_TILE // n_points``
+    events (at least 1). Pieces of one rank (first, second, ... piece of a
+    realization in the chunk) and one length c are gathered r at a time,
+    with r * c * n_points <= ``_TILE`` (or r = c = 1 on a grid wider than
+    ``_TILE``), into (r, c) coefficients and (r, c, n_points) terms; one
+    ``np.einsum`` product of the two gives the r piece sums. Ranks are taken
+    in order, so a realization's pieces are added to its row in event order,
+    and no row is written twice by one fancy-indexed add.
+    """
+    n_points = log_delta.shape[0]
+    span = max(1, _TILE // n_points)
+    rows = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[rows]
+    first = ends - counts[rows]
+    start = 0
+    for a, n in chunks:
+        stop = start + a.shape[0]
+        # The realizations with events in this chunk, and their events in it.
+        i0 = int(np.searchsorted(ends, start, side="right"))
+        i1 = int(np.searchsorted(first, stop, side="left"))
+        lo = np.maximum(first[i0:i1], start) - start
+        hi = np.minimum(ends[i0:i1], stop) - start
+        pieces = -(-(hi - lo) // span)
+        owner = np.repeat(rows[i0:i1], pieces)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        p_lo = np.repeat(lo, pieces) + rank * span
+        p_len = np.minimum(np.repeat(hi, pieces) - p_lo, span)
+        order = np.lexsort((p_len, rank))
+        rank, p_len = rank[order], p_len[order]
+        cuts = np.flatnonzero((np.diff(rank) != 0) | (np.diff(p_len) != 0)) + 1
+        for u, w in zip([0, *cuts], [*cuts, order.size]):
+            c = int(p_len[u])
+            step = max(1, _TILE // (c * n_points))
+            for g0 in range(u, w, step):
+                sel = order[g0 : min(w, g0 + step)]
+                idx = (p_lo[sel][:, None] + np.arange(c)).ravel()
+                terms = _exp_terms(n[idx], log_delta, buffer[: idx.size])
+                coeff = a[idx].reshape(sel.size, c)
+                # einsum, not a batched matmul: the sums never reach BLAS, so
+                # they do not depend on its thread count.
+                block[owner[sel]] += np.einsum(
+                    "rc,rcp->rp", coeff, terms.reshape(sel.size, c, n_points)
+                )
+        start = stop
+
+
 def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndarray:
     """Random-sum values of n_real realizations at every grid point.
 
@@ -278,38 +384,31 @@ def mc_values(g: GeneralIntensity, grid, n_real: int, rng: RngStream) -> np.ndar
     ``_draw_block`` (the last block may be shorter). Splitting ``n_real`` on
     block boundaries, with the later part drawn from ``rng.child(k)``,
     reproduces the same matrix bit for bit. Rows with no events are 0.0.
+
+    Row i is 0.0 plus realization i's terms a_j * exp(n_j . log(x - x0)),
+    summed piece by piece, the pieces taken in event order. Below
+    ``_GROUP_POINTS`` grid points a piece is a realization's run of events
+    inside one tile of ``_TILE // n_points`` consecutive events of a chunk,
+    summed by ``np.add.reduceat``. From ``_GROUP_POINTS`` points on, a piece
+    is at most ``_TILE // n_points`` of one realization's events inside one
+    chunk, and the pieces of one length are summed together, one
+    ``np.einsum`` product per group. Either way a block's rows depend only on
+    that block's draws and the grid, so the split above holds on both paths;
+    the two paths sum in different orders and agree to rounding.
     """
     log_delta, n_real = _mc_inputs(g, grid, n_real)
     arrays = _component_arrays(g)
     values = np.zeros((n_real, log_delta.shape[0]))
-    # Every tile is evaluated in place in this one buffer; a tile never
-    # spans two event chunks, so it has at most _CHUNK rows.
+    # Every tile or group is evaluated in place in this one buffer; neither
+    # spans two event chunks, so each has at most _CHUNK rows of events.
     tile_rows = max(1, min(_TILE // log_delta.shape[0], _CHUNK))
     buffer = np.empty((tile_rows, log_delta.shape[0]))
+    block_sums = _grouped_sums if log_delta.shape[0] >= _GROUP_POINTS else _tile_sums
     with np.errstate(over="ignore", invalid="ignore"):
         for b, lo in enumerate(range(0, n_real, _BLOCK)):
             block = values[lo : lo + _BLOCK]
             counts, chunks = _draw_block(g, arrays, rng.child(b).generator(), block.shape[0])
-            # Nonempty rows and the block offset of their first event. Rows
-            # with no events own no event and keep their 0.0 (a reduceat
-            # over every row's offset would give them the next row's term).
-            rows = np.flatnonzero(counts)
-            first = (np.cumsum(counts) - counts)[rows]
-            start = 0
-            for a, n in chunks:
-                for t in range(0, a.shape[0], tile_rows):
-                    ta, tn = a[t : t + tile_rows], n[t : t + tile_rows]
-                    tile = np.matmul(tn, log_delta.T, out=buffer[: ta.shape[0]])
-                    np.exp(tile, out=tile)
-                    tile *= ta[:, None]
-                    # Rows owning the tile's events, and where each one's run
-                    # starts inside the tile (the first may begin before it).
-                    s = start + t
-                    i0 = int(np.searchsorted(first, s, side="right")) - 1
-                    i1 = int(np.searchsorted(first, s + ta.shape[0], side="left"))
-                    runs = np.maximum(first[i0:i1] - s, 0)
-                    block[rows[i0:i1]] += np.add.reduceat(tile, runs, axis=0)
-                start += a.shape[0]
+            block_sums(block, counts, chunks, log_delta, buffer)
     if not np.isfinite(values).all():
         raise NumericRangeError(
             "a realization value exceeds the largest finite double; "

@@ -32,7 +32,7 @@ from stochtaylor import (
     unpack_params,
 )
 from stochtaylor.bench import get_test_function, make_dataset
-from stochtaylor.fit import fit_result_to_dict, params_width, selected_fit_to_dict
+from stochtaylor.fit import params_width, selected_fit_to_dict
 
 from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_model
 
@@ -906,15 +906,6 @@ class TestSelectModel:
 
 
 class TestSerializationHelpers:
-    def test_fit_result_dict_is_json_ready(self):
-        data = single_power_dataset(50)
-        result = fit_fixed_m(data, 1, FitConfig(n_starts=2, max_iters=40, seed=0), [0.0])
-        doc = fit_result_to_dict(result)
-        text = json.dumps(doc)
-        assert doc["rss"] == result.rss
-        assert doc["sigma2"] == result.sigma2
-        assert "model" in json.loads(text)
-
     def test_selected_fit_dict_includes_rss_table(self):
         data = single_power_dataset(50)
         sel = select_model(data, 2, FitConfig(n_starts=2, max_iters=40, seed=0))

@@ -45,6 +45,7 @@ from stochtaylor.model import (
     csv_text,
 )
 from stochtaylor.simulate import _BLOCK as _MC_BLOCK
+from stochtaylor.simulate import _GROUP_POINTS
 
 from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_intensity, random_model
 
@@ -386,16 +387,22 @@ def test_taylor_polynomial_model_matches_polyval(coeffs, x0, offsets):
     lam=st.floats(0.1, 40.0),
     blocks=st.lists(st.integers(1, 2), min_size=1, max_size=3),
     tail=st.integers(1, _MC_BLOCK),
+    n_points=st.sampled_from([3, _GROUP_POINTS - 1, _GROUP_POINTS, 2 * _GROUP_POINTS + 3]),
 )
-def test_mc_values_split_on_block_boundaries_is_bit_identical(seed, d, m, lam, blocks, tail):
+@example(seed=5, d=1, m=2, lam=40.0, blocks=[2], tail=9, n_points=_GROUP_POINTS)
+def test_mc_values_split_on_block_boundaries_is_bit_identical(
+    seed, d, m, lam, blocks, tail, n_points
+):
     # Pieces of whole blocks, then a last piece of any length; each piece
     # draws from rng.child(first block of the piece). Up to 40 events per
-    # realization, so some blocks span several event chunks.
+    # realization, so some blocks span several event chunks. Grids on both
+    # sides of _GROUP_POINTS take both reductions.
     model = random_model(seed, d, m)
     g = GeneralIntensity(
         lam=lam, weights=model.weights, components=model.components, d=d, x0=model.x0
     )
-    points = np.asarray(model.x0) + RngStream(seed, 1).generator().uniform(0.2, 2.0, (3, d))
+    gen = RngStream(seed, 1).generator()
+    points = np.asarray(model.x0) + gen.uniform(0.2, 2.0, (n_points, d))
     rng = RngStream(seed, 2)
     sizes = [k * _MC_BLOCK for k in blocks] + [tail]
     starts = np.cumsum([0] + blocks)
@@ -410,16 +417,18 @@ def test_mc_values_split_on_block_boundaries_is_bit_identical(seed, d, m, lam, b
     d=st.integers(1, 2),
     m=st.integers(1, 3),
     lam=st.floats(0.05, 3.0),
-    n_points=st.integers(1, 4),
+    n_points=st.one_of(st.integers(1, 4), st.integers(_GROUP_POINTS, _GROUP_POINTS + 4)),
     n_real=st.sampled_from([1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 2 * _MC_BLOCK + 7]),
     alpha=st.floats(1e-3, 0.999),
 )
 @example(seed=3, d=2, m=2, lam=0.05, n_points=2, n_real=2 * _MC_BLOCK + 7, alpha=1e-3)
 @example(seed=4, d=1, m=1, lam=3.0, n_points=1, n_real=2 * _MC_BLOCK + 7, alpha=0.999)
+@example(seed=6, d=1, m=3, lam=3.0, n_points=_GROUP_POINTS, n_real=2 * _MC_BLOCK + 7, alpha=0.2)
 def test_envelope_is_the_reduction_of_the_matrix(seed, d, m, lam, n_points, n_real, alpha):
     # envelope draws block by block and keeps only two tails per point; it
-    # must give what the whole mc_values matrix gives. Low rates leave many
-    # rows exactly 0.0, so the order statistics are full of ties.
+    # must give what the whole mc_values matrix gives, on grids on both sides
+    # of _GROUP_POINTS. Low rates leave many rows exactly 0.0, so the order
+    # statistics are full of ties.
     model = random_model(seed, d, m)
     g = GeneralIntensity(
         lam=lam, weights=model.weights, components=model.components, d=d, x0=model.x0

@@ -178,14 +178,27 @@ class TestMcValues:
         assert v1.shape == (50, 7)
         assert np.array_equal(v1, v2)
 
-    # Block, chunk and tile sizes: the shipped ones, and small ones that put
-    # block, chunk and tile boundaries inside a few hundred realizations.
-    SIZES = [None, (16, 7, 12), (5, 64, 30)]
+    # Block, chunk and tile sizes and the grid size from which blocks are
+    # summed by event-count groups: the shipped ones, small ones that put
+    # block, chunk and tile boundaries inside a few hundred realizations, and
+    # a tile narrower than the grid, each through both reductions (a grid
+    # size of 1 groups every grid, _NEVER none).
+    _NEVER = 1 << 62
+    SIZES = [
+        None,
+        (16, 7, 12, _NEVER),
+        (5, 64, 30, _NEVER),
+        (simulate._BLOCK, simulate._CHUNK, simulate._TILE, 1),
+        (16, 7, 12, 1),
+        (5, 64, 30, 1),
+        (16, 7, 2, _NEVER),
+        (16, 7, 2, 1),
+    ]
 
     @staticmethod
     def with_sizes(monkeypatch, sizes):
         if sizes is not None:
-            for name, value in zip(("_BLOCK", "_CHUNK", "_TILE"), sizes):
+            for name, value in zip(("_BLOCK", "_CHUNK", "_TILE", "_GROUP_POINTS"), sizes):
                 monkeypatch.setattr(simulate, name, value)
 
     @pytest.mark.parametrize("sizes", SIZES)
@@ -242,21 +255,42 @@ class TestMcValues:
         assert np.array_equal(values[:, 0], 2.0 * counts)
         assert np.array_equal(values[counts == 0], np.zeros(((counts == 0).sum(), 2)))
 
-    def test_memory_is_bounded_at_large_rate(self):
-        # 4 realizations of about 2e6 events each: the draws and tiles are
-        # chunked, so the traced peak stays far below the 64 MB that a
-        # single event array of 8e6 doubles would take.
+    def test_memory_is_bounded_at_large_rate(self, monkeypatch):
+        # 4 realizations of about 2e6 events each: the draws, tiles and
+        # groups are chunked, so the traced peak of either reduction stays
+        # far below the 64 MB that a single event array of 8e6 doubles would
+        # take.
         g = degenerate_intensity(2e6)
         grid = np.array([[0.5], [1.5], [2.0]])
-        tracemalloc.start()
-        try:
-            values = mc_values(g, grid, 4, RngStream(46, 0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
         counts = RngStream(46, 0).generator().poisson(2e6, 4)
-        assert values == pytest.approx(counts[:, None] * grid[:, 0], rel=1e-9)
+        for group_points in (self._NEVER, 1):
+            monkeypatch.setattr(simulate, "_GROUP_POINTS", group_points)
+            tracemalloc.start()
+            try:
+                values = mc_values(g, grid, 4, RngStream(46, 0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
+            assert values == pytest.approx(counts[:, None] * grid[:, 0], rel=1e-9)
+
+    def test_pieces_are_added_in_event_order(self, monkeypatch):
+        # One realization of five events on a one-point grid at x - x0 = 1,
+        # where each term is its coefficient. Tiles of two elements cut it
+        # into pieces [1e16, 0], [-1e16, 0] and [1]; in event order the row is
+        # (1e16 - 1e16) + 1 = 1.0, while the pieces in reverse, or the short
+        # piece first, give (1 - 1e16) + 1e16 = 0.0.
+        a = np.array([1e16, 0.0, -1e16, 0.0, 1.0])
+
+        def draw_block(g, arrays, gen, size):
+            return np.array([a.size]), iter([(a, np.zeros((a.size, 1)))])
+
+        monkeypatch.setattr(simulate, "_draw_block", draw_block)
+        monkeypatch.setattr(simulate, "_TILE", 2)
+        for group_points in (self._NEVER, 1):
+            monkeypatch.setattr(simulate, "_GROUP_POINTS", group_points)
+            values = mc_values(degenerate_intensity(1.0), [[1.0]], 1, RngStream(0, 0))
+            assert values[0, 0] == 1.0
 
     def test_rejects_bad_inputs(self):
         g = random_intensity(42, 1, 2)
