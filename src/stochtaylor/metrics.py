@@ -3,7 +3,9 @@
 Both metrics integrate over a uniform tensor grid with the composite
 trapezoid rule: D_sq = integral of (f_hat - f_true)**2, D_l1 = integral of
 |f_hat - f_true|. Callers supply the two value vectors evaluated on
-``GridSpec.points()`` in grid order.
+``GridSpec.points()`` in grid order. The weighted values are added by numpy's
+pairwise sum, not a BLAS dot product, so a distance has the same bits at any
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -102,16 +104,22 @@ def _check_values(f_hat, f_true, grid: GridSpec) -> np.ndarray:
     return diff
 
 
+def _trapezoid_sum(values: np.ndarray, grid: GridSpec) -> float:
+    """Trapezoid sum of ``values``, which are overwritten."""
+    values *= trapezoid_weights(grid)
+    return float(np.add.reduce(values))
+
+
 def integrated_sq_distance(f_hat, f_true, grid: GridSpec) -> float:
     """Trapezoid approximation of the integral of (f_hat - f_true)**2 over the window."""
     diff = _check_values(f_hat, f_true, grid)
-    return float(trapezoid_weights(grid) @ (diff * diff))
+    return _trapezoid_sum(np.square(diff, out=diff), grid)
 
 
 def l1_distance(f_hat, f_true, grid: GridSpec) -> float:
     """Trapezoid approximation of the integral of |f_hat - f_true| over the window."""
     diff = _check_values(f_hat, f_true, grid)
-    return float(trapezoid_weights(grid) @ np.abs(diff))
+    return _trapezoid_sum(np.abs(diff, out=diff), grid)
 
 
 def shift_window_above(grid: GridSpec, x0) -> GridSpec:

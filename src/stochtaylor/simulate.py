@@ -14,8 +14,12 @@ realizations ``b*_BLOCK`` onward (``_BLOCK`` = 1024; the last block may be
 shorter) and draws from stream ``rng.child(b)``: all its Poisson counts
 first, then its events in realization order, in chunks of at most
 ``_CHUNK`` events (component uniforms, then normals), so memory is bounded
-whatever the rate. A batch split on block boundaries, the part starting at
-block k drawn from ``rng.child(k)``, reproduces the identical realizations.
+whatever the rate. A uniform's component is read from a guide table of
+``_GUIDE_BINS`` equal bins (Chen & Asau 1974) that searches the cumulative
+weights only in bins a weight boundary splits, and an event's moments are
+gathered from one (3d+3, M) component table. A batch split on block
+boundaries, the part starting at block k drawn from ``rng.child(k)``,
+reproduces the identical realizations.
 :func:`sample_pattern` is a block of one realization.
 
 :func:`mc_values` sums each realization's terms over the grid in pieces of
@@ -81,6 +85,8 @@ _TILE = 1 << 16
 # Fewest grid points on which mc_values sums by event-count groups; below it,
 # the gathers cost more than the per-tile reduceat they replace.
 _GROUP_POINTS = 32
+# Equal bins on [0, 1) of the weights' guide table; a power of two, so u * _GUIDE_BINS is exact.
+_GUIDE_BINS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -177,14 +183,49 @@ def is_sampleable(comp: ComponentParams) -> bool:
     return math.fsum(r * r for r in comp.rho) <= 1.0 + _PSD_TOL
 
 
+def _inverse_cdf(weights):
+    """``components(u)``, equal to ``np.clip(np.searchsorted(cum_w, u, side="right"),
+    0, M-1)`` for uniforms u in [0, 1), which it overwrites. From ``_GUIDE_BINS``
+    uniforms on, a guide table of ``_GUIDE_BINS`` equal bins, built on first
+    use, gives each u its bin's component, and only the uniforms in bins that a
+    weight boundary splits are searched; fewer cost less to search than the
+    table costs to build."""
+    scaled = np.cumsum(np.asarray(weights, dtype=float)) * _GUIDE_BINS  # cum_w in bin units
+    guide = split = None
+
+    def search(s: np.ndarray, side: str = "right") -> np.ndarray:
+        return np.minimum(np.searchsorted(scaled, s, side=side), scaled.size - 1)
+
+    def components(u: np.ndarray) -> np.ndarray:
+        nonlocal guide, split
+        u *= _GUIDE_BINS
+        if u.size < _GUIDE_BINS:
+            return search(u)
+        if guide is None:
+            # The components of each bin's first and last double.
+            edges = np.arange(_GUIDE_BINS + 1, dtype=float)
+            guide = search(edges[:-1])
+            split = (search(edges[1:], "left") - guide).astype(bool)
+            split = split if split.any() else None
+        bins = u.astype(np.intp)
+        idx = guide.take(bins)
+        if split is not None:
+            fall = np.flatnonzero(split.take(bins))
+            idx[fall] = search(u[fall])
+        return idx
+
+    return components
+
+
 def _component_arrays(g: GeneralIntensity):
-    """Stacked per-component moment arrays for vectorized event assembly."""
+    """The (3d+3, M) component table, rows mu_a, sigma_a, tail, mu_n_1..d,
+    sigma_n_1..d and rho_1..d, and the inverse CDF of the weights."""
     mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(g.components)
     # Residual scale of the coefficient after conditioning on the powers;
     # clamp tiny negatives allowed by the PSD slack.
     tail = np.sqrt(np.maximum(0.0, 1.0 - (rho**2).sum(axis=1)))
-    cum_w = np.cumsum(np.asarray(g.weights, dtype=float))
-    return mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w
+    table = np.concatenate([mu_a[None], sigma_a[None], tail[None], mu_n.T, sigma_n.T, rho.T])
+    return table, _inverse_cdf(g.weights)
 
 
 def _require_sampleable(g: GeneralIntensity) -> None:
@@ -205,24 +246,35 @@ def _draw_block(g, arrays, gen: np.random.Generator, size: int):
     its component uniforms (when M > 1) and then its (chunk, d+1) normals.
     The iterator draws lazily from ``gen``, so exhaust it before drawing
     anything else. Yields ``(a, n)``: the chunk's coefficients and powers.
+
+    Components come from the guide table of :func:`_inverse_cdf`; each
+    moment is gathered from its row of the component table into a flat array.
     """
-    mu_a, sigma_a, mu_n, sigma_n, rho, tail, cum_w = arrays
+    table, components = arrays
+    mu_a, sigma_a, tail = table[:3]
+    mu_n, sigma_n, rho = table[3:].reshape(3, g.d, g.m)
     counts = gen.poisson(g.lam, size)
 
     def chunks():
         total = int(counts.sum())
         for start in range(0, total, _CHUNK):
             v = min(_CHUNK, total - start)
-            if g.m > 1:
-                # Inverse-CDF component assignment: one uniform per event.
-                idx = np.searchsorted(cum_w, gen.random(v), side="right")
-                np.clip(idx, 0, g.m - 1, out=idx)
-            else:
-                idx = np.zeros(v, dtype=np.intp)
+            idx = components(gen.random(v)) if g.m > 1 else np.zeros(v, np.intp)
             z = gen.standard_normal((v, g.d + 1))
-            n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
-            resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
-            yield mu_a[idx] + sigma_a[idx] * resid, n
+            n = np.empty((v, g.d))
+            for r in range(g.d):
+                np.multiply(sigma_n[r].take(idx), z[:, 1 + r], out=n[:, r])
+                n[:, r] += mu_n[r].take(idx)
+            # a = mu_a + sigma_a * (sum_r rho_r * z_n_r + tail * z_a), in place.
+            # numpy's sum of one term is 0.0 + the term, hence the + 0.0 at d = 1.
+            if g.d == 1:
+                a = rho[0].take(idx) * z[:, 1] + 0.0
+            else:
+                a = (rho.T[idx] * z[:, 1:]).sum(axis=1)
+            a += tail.take(idx) * z[:, 0]
+            a *= sigma_a.take(idx)
+            a += mu_a.take(idx)
+            yield a, n
 
     return counts, chunks()
 
@@ -422,12 +474,16 @@ def mc_mean(g: GeneralIntensity, x, n_real: int, rng: RngStream) -> tuple[float,
 
     Returns (mean, stderr) with stderr the sample standard deviation divided
     by sqrt(n_real). This is the simulation cross-check of the closed-form
-    mean: the two agree within a few stderr for any sampleable model.
+    mean: the two agree within a few stderr for any sampleable model. mean and
+    stderr are the values' ``mean()`` and ``std(ddof=1) / sqrt(n_real)``, bit for bit.
     """
     n_real = _as_int(n_real, "n_real", 2)
     values = mc_values(g, [x], n_real, rng)[:, 0]
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n_real))
+    # numpy's std(ddof=1) formed in place, without its second n_real array.
+    values -= mean
+    values *= values
+    stderr = math.sqrt(float(np.add.reduce(values)) / (n_real - 1)) / math.sqrt(n_real)
     return mean, stderr
 
 

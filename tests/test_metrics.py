@@ -1,8 +1,13 @@
 """Trapezoid quadrature distances on rectangular windows."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stochtaylor
 from stochtaylor import (
     DomainError,
     GridSpec,
@@ -154,6 +159,31 @@ class TestL1Distance:
         grid = GridSpec(lower=(0.0,), upper=(2.0,), points_per_dim=33)
         x = grid.points()[:, 0]
         assert l1_distance(x, x**2, grid) == l1_distance(x**2, x, grid)
+
+
+def test_distances_do_not_depend_on_the_blas_thread_count():
+    # A d=2 evaluation grid of 200 x 200 points, the size of the exp2d and
+    # polyexp2d reports: long enough that OpenBLAS splits a dot product
+    # across threads. Each thread count runs in a fresh interpreter, as
+    # OpenBLAS reads it at import.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochtaylor.__file__)))
+    code = (
+        "import numpy as np\n"
+        "from stochtaylor import GridSpec, integrated_sq_distance, l1_distance\n"
+        "grid = GridSpec((0.0, 0.0), (1.2, 1.2), 200)\n"
+        "x = grid.points()\n"
+        "f = np.exp(x[:, 0] * x[:, 1])\n"
+        "g = f + 0.01 * np.sin(37.0 * x[:, 0] + 11.0 * x[:, 1])\n"
+        "print(integrated_sq_distance(g, f, grid).hex(), l1_distance(g, f, grid).hex())\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestShiftWindowAbove:

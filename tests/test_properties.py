@@ -45,7 +45,7 @@ from stochtaylor.model import (
     csv_text,
 )
 from stochtaylor.simulate import _BLOCK as _MC_BLOCK
-from stochtaylor.simulate import _GROUP_POINTS
+from stochtaylor.simulate import _GROUP_POINTS, _GUIDE_BINS, _inverse_cdf
 
 from conftest import STEP_RTOL, gram_and_svd_steps, radius_for, random_intensity, random_model
 
@@ -377,6 +377,38 @@ def test_taylor_polynomial_model_matches_polyval(coeffs, x0, offsets):
 # ---------------------------------------------------------------------------
 # Monte Carlo: realizations are drawn a block per stream.
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def weight_vectors(draw):
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    assume(sum(raw) > 0.0)
+    return tuple(np.asarray(raw) / sum(raw))
+
+
+@examples(300)
+@given(weights=weight_vectors(), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True)))
+# Boundaries on bin edges (multiples of 1/_GUIDE_BINS), so no bin is split.
+@example(weights=tuple(k / 1024 for k in (1, 511, 256, 255, 1)), extra=[])
+# cum_w[-1] = 0.9999999999999999: uniforms above it go to the last component.
+@example(weights=(0.1,) * 10, extra=[])
+# Tiny weights: several boundaries inside bin 0.
+@example(weights=(1e-6, 2e-6, 1e-7, 1e-9, 1.0 - 3.101e-6), extra=[5e-7, 3.05e-6])
+@example(weights=(1.0,), extra=[])
+def test_guide_table_gives_the_searchsorted_component(weights, extra):
+    # Every bin edge, every cumulative weight and their neighbouring doubles,
+    # plus drawn uniforms: the places where a table and a search can differ.
+    cum_w = np.cumsum(weights)
+    points = np.concatenate([np.arange(_GUIDE_BINS + 1) / _GUIDE_BINS, cum_w, extra])
+    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    want = np.clip(np.searchsorted(cum_w, u, side="right"), 0, len(weights) - 1)
+    components = _inverse_cdf(weights)
+    # All at once through the guide table, and in runs too short to build it.
+    assert u.size >= _GUIDE_BINS
+    assert np.array_equal(components(u.copy()), want)
+    runs = [components(run.copy()) for run in np.array_split(u, 8)]
+    assert np.array_equal(np.concatenate(runs), want)
 
 
 @examples(25)

@@ -24,6 +24,7 @@ from stochtaylor import (
     sample_pattern,
     ste_realization,
 )
+from stochtaylor.model import _stack_components
 
 from conftest import random_intensity, random_model
 
@@ -134,6 +135,84 @@ class TestSamplePattern:
         g = GeneralIntensity(lam=1.0, weights=(1.0,), components=(comp,), d=2, x0=(0.0, 0.0))
         with pytest.raises(NotSampleableError):
             sample_pattern(g, RngStream(0, 0))
+
+
+def reference_draw_block(g, gen, size):
+    """The event draw that the guide and component tables replaced, kept as the
+    reference: one searchsorted over the cumulative weights per chunk, and one
+    (M, d)[idx] gather per moment. Returns the counts and the list of chunks."""
+    mu_a, sigma_a, mu_n, sigma_n, rho = _stack_components(g.components)
+    tail = np.sqrt(np.maximum(0.0, 1.0 - (rho**2).sum(axis=1)))
+    cum_w = np.cumsum(np.asarray(g.weights, dtype=float))
+    counts = gen.poisson(g.lam, size)
+    chunks = []
+    total = int(counts.sum())
+    for start in range(0, total, simulate._CHUNK):
+        v = min(simulate._CHUNK, total - start)
+        if g.m > 1:
+            idx = np.searchsorted(cum_w, gen.random(v), side="right")
+            np.clip(idx, 0, g.m - 1, out=idx)
+        else:
+            idx = np.zeros(v, dtype=np.intp)
+        z = gen.standard_normal((v, g.d + 1))
+        n = mu_n[idx] + sigma_n[idx] * z[:, 1:]
+        resid = (rho[idx] * z[:, 1:]).sum(axis=1) + tail[idx] * z[:, 0]
+        chunks.append((mu_a[idx] + sigma_a[idx] * resid, n))
+    return counts, chunks
+
+
+class ZeroNormals:
+    """A generator whose normals are zeros with the signs of the real draws."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.poisson, self.random = gen.poisson, gen.random
+
+    def standard_normal(self, shape):
+        return np.copysign(0.0, self.gen.standard_normal(shape))
+
+
+class TestDrawBlock:
+    @staticmethod
+    def assert_same_draws(g, rng, size=1024, zero_normals=False):
+        wrap = ZeroNormals if zero_normals else (lambda gen: gen)
+        gen_got, gen_want = rng.generator(), rng.generator()
+        counts, chunks = simulate._draw_block(
+            g, simulate._component_arrays(g), wrap(gen_got), size
+        )
+        want_counts, want_chunks = reference_draw_block(g, wrap(gen_want), size)
+        assert counts.tobytes() == want_counts.tobytes()
+        got_chunks = list(chunks)
+        assert len(got_chunks) == len(want_chunks) > 0
+        for (a, n), (want_a, want_n) in zip(got_chunks, want_chunks):
+            assert a.shape == want_a.shape and n.shape == want_n.shape
+            assert a.tobytes() == want_a.tobytes()
+            assert n.tobytes() == want_n.tobytes()
+        # Both drew the same number of variates from their streams.
+        assert gen_got.random() == gen_want.random()
+
+    # d >= 8 puts the rho term on numpy's pairwise sum; M = 3 and random
+    # weights put weight boundaries inside guide bins.
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("weights", ["uniform", "random"])
+    def test_chunks_are_the_reference_arithmetic_bit_for_bit(self, d, m, weights):
+        seed = 100 + 10 * d + m
+        g = random_model(seed, d, m) if weights == "uniform" else random_intensity(seed, d, m)
+        self.assert_same_draws(g, RngStream(seed, 1))
+
+    def test_chunks_that_split_realizations(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        for d, m in ((1, 3), (2, 8), (9, 1)):
+            self.assert_same_draws(random_intensity(120 + d, d, m), RngStream(d, 2), size=40)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_signed_zero_terms(self, d):
+        # With zero normals and mu_a = -0.0, a coefficient keeps the sign that
+        # the reference's sum of the rho terms gives its zero residual.
+        comp = ComponentParams(-0.0, 0.5, (1.0,) * d, (0.2,) * d, (0.6,) + (0.0,) * (d - 1))
+        g = GeneralIntensity(3.0, (0.5, 0.5), (comp, comp), d, (0.0,) * d)
+        self.assert_same_draws(g, RngStream(7, d), size=64, zero_normals=True)
 
 
 class TestSteRealization:
@@ -326,6 +405,14 @@ class TestMcMean:
         x = (1.1, 0.9)
         mean, stderr = mc_mean(g, x, 10**5, RngStream(47, 0))
         assert abs(mean - evaluate(g, x)) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("n_real", [2, 3, 9, 1000, 5000])
+    def test_is_numpy_mean_and_std_of_the_values(self, n_real):
+        # Bit for bit, though mc_mean forms the deviations in place.
+        g = random_intensity(48, 1, 3)
+        values = mc_values(g, [(1.3,)], n_real, RngStream(49, n_real))[:, 0]
+        want = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_real)))
+        assert mc_mean(g, (1.3,), n_real, RngStream(49, n_real)) == want
 
     def test_requires_at_least_two_realizations(self):
         g = degenerate_intensity(1.0)
