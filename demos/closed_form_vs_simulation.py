@@ -40,8 +40,8 @@ for j in range(pattern.count):
 print()
 print("== closed form vs Monte Carlo mean (100000 realizations) ==")
 print(f"{'x':>5} {'closed form':>12} {'mc mean':>12} {'stderr':>10} {'|diff|/se':>10}")
-# Each call consumes n_real consecutive child streams, so independent
-# comparisons get their own master seed.
+# Each call consumes one child stream per block of 1024 realizations, so
+# independent comparisons get their own master seed.
 for i, x in enumerate((0.5, 1.0, 2.0, 3.5)):
     exact = evaluate(model, [x])
     mean, stderr = mc_mean(model, [x], 100000, RngStream(100 + i, 0))

@@ -238,6 +238,17 @@ class ExperimentSpec:
         )
         if not inside:
             raise DomainError("evaluation window must contain the fit window")
+        # Samples are drawn on (fit_lower, fit_upper], so x0 may sit on the
+        # fit window's lower edge but not above it.
+        if any(origin > lo for origin, lo in zip(self.x0, self.fit_lower)):
+            raise DomainError(
+                f"x0 {self.x0} must not exceed the fit_window lower bound {self.fit_lower}"
+            )
+        eval_grid = GridSpec(self.eval_lower, self.eval_upper, DEFAULT_GRID_POINTS[fn.d])
+        try:
+            shift_window_above(eval_grid, self.x0)
+        except DomainError as exc:
+            raise DomainError(f"x0 {self.x0} must lie below the eval_window grid: {exc}") from None
         object.__setattr__(self, "sigma", _as_finite_float(self.sigma, "sigma"))
         if self.sigma < 0.0:
             raise DomainError(f"sigma must be >= 0, got {self.sigma}")

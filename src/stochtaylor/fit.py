@@ -29,9 +29,12 @@ scipy's Trust Region Reflective solver (``trf_no_bounds`` and
 It keeps scipy's loop, stops and counts, but computes the step from one
 eigendecomposition of the Gram matrix J^T J per iteration instead of an SVD
 of J, so its fits agree with ``scipy.optimize.least_squares(method="trf")``
-up to rounding, not bit for bit. The objective is not clipped: a trial step
-whose residuals overflow is rejected and the trust region shrinks, and a
-start whose residuals at x0 or whose Jacobian are not finite fails alone.
+up to rounding, not bit for bit. The mean depends on a component's sigma_a
+and rho only through sigma_a * rho_r * sigma_n_r, so each component adds a
+flat direction, J is never of full rank and every step is Moré's search for
+a step on the trust-region boundary. The objective is not clipped: a trial
+step whose residuals overflow is rejected and the trust region shrinks, and
+a start whose residuals at x0 or whose Jacobian are not finite fails alone.
 
 Everything is deterministic given (data, config including seed).
 """
@@ -472,31 +475,15 @@ def _norm(q: np.ndarray) -> float:
     return math.sqrt(q.dot(q))
 
 
-def _phi_and_derivative(alpha, gv, w, Delta):
-    """||p(alpha)|| - Delta and its derivative in alpha, from the eigenpairs of J^T J.
-
-    ``w`` are the eigenvalues and ``gv`` is V^T g; p(alpha) has coordinates
-    -gv / (w + alpha) in the eigenvector basis.
-    """
-    denom = w + alpha
-    q = gv / denom
-    p_norm = _norm(q)
-    return p_norm - Delta, -q.dot(q / denom) / p_norm
-
-
 def _gram_eigen(J: np.ndarray, g: np.ndarray):
-    """V^T g, w, V and the rank flag of the Gram matrix J^T J = V diag(w) V^T.
+    """V^T g, w and V of the Gram matrix J^T J = V diag(w) V^T.
 
     ``J`` is :func:`_prediction_jacobian`'s F-ordered (K, n) array, so J.T
     is C-ordered and J.T.dot(J) reads contiguous rows. ``g`` is J^T f.
     Eigenvalues come in the SVD's descending order, and a zero eigenvalue
-    that rounding left negative is set to 0. The Gauss-Newton step counts as
-    defined (``full_rank``) when K >= n and w_min > eps * K * w_max: the
-    eigenvalues carry rounding errors of about eps * w_max, so smaller ones
-    are noise. That admits a condition number of J up to 1 / sqrt(eps * K),
-    where scipy's cut on the singular values, s_min > eps * K * s_max, admits
-    1 / (eps * K). A Jacobian that is not finite, or whose Gram matrix
-    overflows (|J| above about 1e154), raises :class:`_NotFinite`.
+    that rounding left negative is set to 0. A Jacobian that is not finite,
+    or whose Gram matrix overflows (|J| above about 1e154), raises
+    :class:`_NotFinite`.
     """
     G = J.T.dot(J)
     if not np.isfinite(G).all():
@@ -504,37 +491,31 @@ def _gram_eigen(J: np.ndarray, g: np.ndarray):
     w, V = np.linalg.eigh(G)
     w = np.maximum(w[::-1], 0.0)
     V = np.ascontiguousarray(V[:, ::-1])
-    K, n = J.shape
-    full_rank = K >= n and w[-1] > np.finfo(float).eps * K * w[0]
-    return V.T.dot(g), w, V, full_rank
+    return V.T.dot(g), w, V
 
 
-def _trust_region_step(gv, w, V, full_rank: bool, Delta, alpha):
-    """Moré's (1977) minimizer of ||J p + f|| over ||p|| <= Delta, from J^T J = V diag(w) V^T.
+def _trust_region_step(gv, w, V, Delta, alpha):
+    """Moré's (1977) minimizer of ||J p + f|| on ||p|| = Delta, from J^T J = V diag(w) V^T.
 
-    ``gv``, ``w``, ``V`` and ``full_rank`` are :func:`_gram_eigen`'s, and
-    -V (gv / w) is the Gauss-Newton step when ``full_rank``. Returns p and the
-    Levenberg-Marquardt parameter alpha with (J^T J + alpha I) p = -g, 0 for
-    a Gauss-Newton step inside the region; the ``alpha`` passed in, the last
-    step's, seeds the root search for ||p|| = Delta. This is scipy's
-    ``solve_lsq_trust_region`` with s**2 = w and s * U^T f = gv.
+    ``gv``, ``w`` and ``V`` are :func:`_gram_eigen`'s. Returns p and the
+    Levenberg-Marquardt parameter alpha with (J^T J + alpha I) p = -g; the
+    ``alpha`` passed in, the last step's, seeds the root search. This is the
+    rank-deficient branch of scipy's ``solve_lsq_trust_region``, with
+    s**2 = w and s * U^T f = gv: a fit's J is never of full rank.
     """
-    if full_rank:
-        p = -V.dot(gv / w)
-        if _norm(p) <= Delta:
-            return p, 0.0
     alpha_upper = _norm(gv) / Delta
-    if full_rank:
-        phi, phi_prime = _phi_and_derivative(0.0, gv, w, Delta)
-        alpha_lower = -phi / phi_prime
-    else:
-        alpha_lower = 0.0
-        if alpha == 0:
-            alpha = 0.001 * alpha_upper
+    alpha_lower = 0.0
+    if alpha == 0:
+        alpha = 0.001 * alpha_upper
     for _ in range(_TR_MAX_ITER):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
-        phi, phi_prime = _phi_and_derivative(alpha, gv, w, Delta)
+        # phi = ||p(alpha)|| - Delta, with p(alpha) = -gv / (w + alpha) in the eigenvector basis.
+        denom = w + alpha
+        q = gv / denom
+        p_norm = _norm(q)
+        phi = p_norm - Delta
+        phi_prime = -q.dot(q / denom) / p_norm
         if phi < 0:
             alpha_upper = alpha
         ratio = phi / phi_prime
@@ -563,7 +544,8 @@ def least_squares(fun, x0, *, jac, max_nfev: int) -> TrfResult:
     Gram matrix J^T J = V diag(w) V^T (:func:`_gram_eigen`), which gives the
     same step: s**2 = w and s * U^T f = V^T J^T f, and for K >> n is cheaper
     than the SVD of the K x n Jacobian. The fits agree with scipy's up to
-    rounding, not bit for bit, and the rank cut is set for the Gram matrix.
+    rounding, not bit for bit. Every step lies on the trust-region boundary:
+    scipy's Gauss-Newton branch is left out, as no fit's J has full rank.
     ``fun`` runs at most ``max_nfev`` times and ``jac(x)`` right after each
     ``fun(x)`` whose step is taken, except a step that ends the run (a stop
     is met or the budget is spent). scipy evaluates that Jacobian too, so

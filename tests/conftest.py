@@ -59,11 +59,10 @@ def random_intensity(seed: int, d: int, m: int) -> GeneralIntensity:
 STEP_RTOL = 1e-6
 
 
-def svd_trust_region_step(J, f, Delta, alpha, full_rank: bool):
+def svd_trust_region_step(J, f, Delta, alpha):
     """Moré's trust-region step from the SVD of J, in the operation order of
-    scipy's ``solve_lsq_trust_region``: the reference that the Gram form in
-    ``fit._trust_region_step`` is held to. The rank decision is passed in, so
-    that a comparison tests the factorization and not the cut."""
+    the rank-deficient branch of scipy's ``solve_lsq_trust_region``: the
+    reference that the Gram form in ``fit._trust_region_step`` is held to."""
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
     uf = U.T @ f
     V = Vt.T
@@ -74,18 +73,10 @@ def svd_trust_region_step(J, f, Delta, alpha, full_rank: bool):
         p_norm = np.linalg.norm(suf / denom)
         return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
 
-    if full_rank:
-        p = -V @ (uf / s)
-        if np.linalg.norm(p) <= Delta:
-            return p, 0.0
     alpha_upper = np.linalg.norm(suf) / Delta
-    if full_rank:
-        phi, phi_prime = phi_and_derivative(0.0)
-        alpha_lower = -phi / phi_prime
-    else:
-        alpha_lower = 0.0
-    if not full_rank and alpha == 0:
-        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    alpha_lower = 0.0
+    if alpha == 0:
+        alpha = 0.001 * alpha_upper
     for _ in range(10):
         if alpha < alpha_lower or alpha > alpha_upper:
             alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
@@ -109,12 +100,9 @@ def radius_for(J, f, alpha_star: float) -> float:
 
 
 def gram_and_svd_steps(J, f, Delta, alpha):
-    """(p, alpha) of ``fit._trust_region_step`` from the Gram matrix, (p, alpha) of
-    the SVD reference, and the Gram form's rank flag."""
-    eigen = _gram_eigen(J, J.T @ f)
-    full_rank = eigen[3]
+    """(p, alpha) of ``fit._trust_region_step`` from the Gram matrix and (p, alpha)
+    of the SVD reference."""
     return (
-        _trust_region_step(*eigen, Delta, alpha),
-        svd_trust_region_step(J, f, Delta, alpha, full_rank),
-        full_rank,
+        _trust_region_step(*_gram_eigen(J, J.T @ f), Delta, alpha),
+        svd_trust_region_step(J, f, Delta, alpha),
     )

@@ -188,6 +188,22 @@ class TestExperimentSpec:
         with pytest.raises(TypeError, match="x0"):
             ExperimentSpec("identity", 30, 0.0, 1, (0.0,), (1.0,), (0.0,), (1.0,))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"function": "cubic", "K": 500, "x0": [0.001]},
+            {"function": "cubic", "K": 25, "x0": [0.5], "n_seeds": 2},
+            {"function": "cubic", "x0": [0.0], "eval_window": {"lower": [-1.0], "upper": [4.0]}},
+            {"function": "exp2d", "x0": [-0.05, 0.2]},
+        ],
+        ids=["above-fit-edge", "inside-fit-window", "inside-eval-window", "one-coordinate"],
+    )
+    def test_rejects_x0_inside_the_windows(self, doc):
+        # A sample or an evaluation grid point at or below x0 would fail the fit
+        # or the distance of some seed; the spec is refused before any fit.
+        with pytest.raises(DomainError, match="x0"):
+            spec_from_dict(doc)
+
     def test_no_grid_points_field(self):
         names = [f.name for f in dataclasses.fields(ExperimentSpec)]
         assert "grid_points" not in names

@@ -572,6 +572,9 @@ class TestErrorContract:
             {"fit_window": None},
             {"fit_window": {}},
             {"eval_window": {"lower": [0.0], "upper": [7.0], "step": 1}},
+            {"x0": [0.001]},
+            {"x0": [0.5]},
+            {"x0": [0.0], "eval_window": {"lower": [-1.0], "upper": [7.0]}},
         ],
         ids=[
             "K-not-a-number",
@@ -590,6 +593,9 @@ class TestErrorContract:
             "fit-window-null",
             "fit-window-empty",
             "eval-window-extra-key",
+            "x0-above-fit-window-edge",
+            "x0-inside-fit-window",
+            "x0-inside-eval-window",
         ],
     )
     def test_malformed_spec_is_data_error(self, capsys, tmp_path, change):

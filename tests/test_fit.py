@@ -208,11 +208,11 @@ class TestObjective:
             for max_nfev in (2, 3):
                 radii = []
 
-                def first_step_into_overflow(gv, w, V, full_rank, Delta, alpha):
+                def first_step_into_overflow(gv, w, V, Delta, alpha):
                     radii.append(Delta)
                     if len(radii) == 1:
                         return step.copy(), 0.0
-                    return real_step(gv, w, V, full_rank, Delta, alpha)
+                    return real_step(gv, w, V, Delta, alpha)
 
                 monkeypatch.setattr(fit_mod, "_trust_region_step", first_step_into_overflow)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -471,8 +471,7 @@ def trf_against_scipy(callbacks, x0, max_nfev: int):
     return ours
 
 
-# (function, K, M); exp2d at K=10, M=2 has 16 parameters for 10 residuals, so
-# every step takes the rank-deficient branch of the trust-region solve.
+# (function, K, M); exp2d at K=10, M=2 has 16 parameters for 10 residuals.
 TRF_PROBLEMS = [
     ("identity", 40, 1),
     ("cubic", 40, 1),
@@ -552,19 +551,10 @@ def gaussian_jacobian(kind: str, K: int, n: int, seed: int = 5):
 class TestGramStep:
     """fit._trust_region_step from the Gram matrix is the SVD form's step."""
 
-    @pytest.mark.parametrize("alpha_in", [0.0, 3.0])
-    def test_full_rank_step_inside_the_region(self, alpha_in):
-        J, f = gaussian_jacobian("plain", 40, 8)
-        gauss_newton = np.linalg.lstsq(J, -f, rcond=None)[0]
-        Delta = 2.0 * np.linalg.norm(gauss_newton)
-        (p, alpha), (p_ref, alpha_ref), full_rank = gram_and_svd_steps(J, f, Delta, alpha_in)
-        assert full_rank and alpha == alpha_ref == 0.0
-        assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
-
     @pytest.mark.parametrize("alpha_in", [0.0, "twice"])
     @pytest.mark.parametrize("tau", [1e-6, 1e-3, 1.0])
     @pytest.mark.parametrize(
-        "kind, K, n, full_rank",
+        "kind, K, n, full_column_rank",
         [
             ("plain", 40, 8, True),
             ("zero-column", 40, 8, False),
@@ -572,45 +562,18 @@ class TestGramStep:
             ("scaled", 30, 8, False),
         ],
     )
-    def test_boundary_step(self, kind, K, n, full_rank, tau, alpha_in):
+    def test_boundary_step(self, kind, K, n, full_column_rank, tau, alpha_in):
+        # A fit's J is never of full rank, but the root search does not need
+        # it to be: a plain full-rank J gets the SVD form's step too.
         J, f = gaussian_jacobian(kind, K, n)
+        assert (np.linalg.matrix_rank(J) == n) == full_column_rank
         alpha_star = tau * np.linalg.norm(J, 2) ** 2
         Delta = radius_for(J, f, alpha_star)
         alpha_in = 2.0 * alpha_star if alpha_in == "twice" else alpha_in
-        (p, alpha), (p_ref, alpha_ref), got_rank = gram_and_svd_steps(J, f, Delta, alpha_in)
-        assert got_rank == full_rank
+        (p, alpha), (p_ref, alpha_ref) = gram_and_svd_steps(J, f, Delta, alpha_in)
         assert np.linalg.norm(p - p_ref) <= STEP_RTOL * Delta
         assert alpha == pytest.approx(alpha_ref, rel=STEP_RTOL)
         assert np.linalg.norm(p) == pytest.approx(Delta, rel=1e-12)
-
-    def test_rank_cut_is_set_for_the_gram_matrix(self):
-        # w_min > eps * K * w_max: a condition number of 1e6 is full rank and
-        # one of 1e9 is not, though scipy's cut s_min > eps * K * s_max would
-        # take the Gauss-Newton step there too.
-        gen = RngStream(2, 0).generator()
-        U = np.linalg.qr(gen.standard_normal((40, 8)))[0]
-        V = np.linalg.qr(gen.standard_normal((8, 8)))[0]
-        f = gen.standard_normal(40)
-        for cond, full_rank in [(1e6, True), (1e9, False)]:
-            J = U @ np.diag(np.logspace(0.0, -math.log10(cond), 8)) @ V.T
-            assert fit_mod._gram_eigen(J, J.T @ f)[3] == full_rank
-
-    def test_underdetermined_fit_takes_only_rank_deficient_steps(self, monkeypatch):
-        # exp2d at K=10, M=2: 16 parameters for 10 residuals.
-        real_step = fit_mod._trust_region_step
-        ranks = []
-
-        def recording_step(gv, w, V, full_rank, Delta, alpha):
-            ranks.append(full_rank)
-            return real_step(gv, w, V, full_rank, Delta, alpha)
-
-        monkeypatch.setattr(fit_mod, "_trust_region_step", recording_step)
-        (fun, jac), anchor = trf_problem("exp2d", 10, 2)
-        assert anchor.size == 16
-        for start in (0, 1, 3):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                fit_mod.least_squares(fun, jittered(anchor, start), jac=jac, max_nfev=25)
-        assert len(ranks) >= 3 and not any(ranks)
 
 
 # The solver itself, for wrappers that monkeypatch fit.least_squares more than once.

@@ -349,9 +349,65 @@ def test_gram_trust_region_step_matches_the_svd_step(seed, K, n, kind, log_tau, 
     assume(alpha_star > 0.0)
     Delta = radius_for(J, f, alpha_star)
     assume(Delta > 0.0)
-    (p, alpha), (p_ref, alpha_ref), _ = gram_and_svd_steps(J, f, Delta, seed_alpha * alpha_star)
+    (p, alpha), (p_ref, alpha_ref) = gram_and_svd_steps(J, f, Delta, seed_alpha * alpha_star)
     assert np.linalg.norm(p - p_ref) <= STEP_RTOL * Delta
     assert alpha == pytest.approx(alpha_ref, rel=STEP_RTOL)
+
+
+def flat_direction(V: np.ndarray, i: int, d: int) -> np.ndarray:
+    """Component i's direction along which the mean does not change.
+
+    The mean depends on sigma_a and rho only through sigma_a * rho_r *
+    sigma_n_r: stepping z along itself moves rho = z / s by rho / s**2, and
+    the s_a entry moves sigma_a by -sigma_a / s**2 to keep the product fixed.
+    At z = 0 that is a pure s_a move, whose Jacobian column is 0.
+    """
+    _, s_a, _, _, z = fit_mod._split_params(V, d)
+    sigma_a = SIGMA_FLOOR + np.exp(s_a[i])
+    s_sq = 1.0 + z[i] @ z[i]
+    out = np.zeros_like(V)
+    _, v_s_a, _, _, v_z = fit_mod._split_params(out, d)
+    v_z[i] = z[i]
+    v_s_a[i] = -sigma_a / ((sigma_a - SIGMA_FLOOR) * s_sq)
+    return out.reshape(-1)
+
+
+@examples(100)
+@given(
+    seed=seeds,
+    d=st.integers(1, 3),
+    m=st.integers(1, 4),
+    extra=st.integers(0, 200),
+    at_zero=st.sampled_from(["none", "one", "all"]),
+)
+def test_fit_jacobian_has_a_flat_direction_per_component(seed, d, m, extra, at_zero):
+    # The precondition of the trust-region step: a fit's J is never of full
+    # rank, so every step is Moré's search on the trust-region boundary and
+    # fit._trust_region_step has no Gauss-Newton branch. A change to the
+    # parameter layout that removes a flat direction (for example the 3d+1
+    # layout [mu_a, b, mu_n, s_n]) must bring that branch back.
+    K = 2 * m * (3 * d + 2) + extra
+    gen = RngStream(seed, 0).generator()
+    log_delta = np.asfortranarray(gen.uniform(-2.0, 2.0, (K, d)))
+    V = np.empty((m, 3 * d + 2))
+    mu_a, s_a, mu_n, s_n, z = fit_mod._split_params(V, d)
+    mu_a[...] = gen.normal(0.0, 1.0, m)
+    s_a[...] = gen.uniform(-3.0, 2.0, m)
+    mu_n[...] = gen.normal(0.0, 1.0, (m, d))
+    s_n[...] = gen.uniform(-3.0, 0.5, (m, d))
+    z[...] = gen.normal(0.0, 1.0, (m, d))
+    if at_zero == "one":
+        z[int(gen.integers(m))] = 0.0
+    elif at_zero == "all":
+        z[...] = 0.0
+    _, aux = fit_mod._forward(V.reshape(-1), m, d, log_delta)
+    J = fit_mod._prediction_jacobian(aux, m, d, log_delta)
+    J_norm = np.linalg.norm(J, 2)
+    for i in range(m):
+        v = flat_direction(V, i, d)
+        assert np.linalg.norm(J @ v) <= 1e-12 * J_norm * np.linalg.norm(v)
+    _, w, _ = fit_mod._gram_eigen(J, np.zeros(J.shape[1]))
+    assert np.count_nonzero(w <= np.finfo(float).eps * K * w[0]) >= m
 
 
 @examples(100)
