@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -271,7 +272,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # One parser per process: parse_args does not change it, so in-process
+    # callers of main (tests, benchmarks, scripts) share it.
     # argparse reads a separate value that starts with "-" as a flag.
     grid_help = "lo:hi:n[,lo:hi:n...] per dimension; write --grid=-1:7:5 if lo < 0"
     parser = _Parser(prog="stochtaylor", description=__doc__.splitlines()[0])

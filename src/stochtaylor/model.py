@@ -551,25 +551,39 @@ def model_from_json(text: str) -> SteModel:
 
 
 # Rows that csv_text formats as one piece of text. Only one block's cell
-# strings and Python numbers are alive at a time. Formatting the whole text
+# strings and Python numbers are alive at a time, beside the tables of the
+# columns that repeat (at most _CSV_TABLE_TEXTS strings each, freed with the
+# last block, before the blocks are joined). Formatting the whole text
 # as one block instead raised the traced peak of a 40k-row CLI predict from
 # 5.5 to 10.9 MiB, and the resident peak of that predict followed by a CLI
 # envelope of 10^4 realizations on 200 points from 46.1 to 49.5 MiB: the
 # predict, not the envelope, sets that peak.
 _CSV_BLOCK_ROWS = 512
+# Most distinct texts in a column's table. A column with more distinct bit
+# patterns is formatted cell by cell, so a table holds at most this many
+# strings (about 90 KB) whatever the column's length. Grid coordinates of up
+# to 1024 points per axis, and the pattern and event indices of up to 1024
+# simulated patterns, go through tables.
+_CSV_TABLE_TEXTS = 1 << 10
 
 
-def _csv_cells(values: np.ndarray) -> list:
-    """``repr`` of each entry, as the Python number of its dtype.
+def _csv_cells(column: np.ndarray):
+    """One list per block: ``repr`` of each entry, as the Python number of its dtype.
 
     Entries are told apart by bit pattern, not by value, so 0.0 and -0.0
     keep their own texts, and NaNs, which equal nothing, need no special
-    case. Each distinct pattern is formatted once.
+    case. A column of at most ``_CSV_TABLE_TEXTS`` distinct patterns (grid
+    coordinates, pattern indices) formats each pattern once, into a table
+    that every block looks its patterns up in. Any other column is formatted
+    block by block, with no table.
     """
-    bits = values.view(f"u{values.itemsize}")
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    text = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    return text[inverse].tolist()
+    bits = column.view(f"u{column.itemsize}")
+    patterns, first = np.unique(bits, return_index=True)
+    blocks = range(0, bits.size, _CSV_BLOCK_ROWS)
+    if patterns.size > _CSV_TABLE_TEXTS:
+        return (list(map(repr, column[b : b + _CSV_BLOCK_ROWS].tolist())) for b in blocks)
+    text = np.array(list(map(repr, column[first].tolist())), dtype=object)
+    return (text[np.searchsorted(patterns, bits[b : b + _CSV_BLOCK_ROWS])].tolist() for b in blocks)
 
 
 def csv_text(header, columns) -> str:
@@ -579,12 +593,9 @@ def csv_text(header, columns) -> str:
     integer column prints integers, a real column floats that read back
     exactly. Every line, the last included, ends in a newline.
     """
-    columns = [np.asarray(column) for column in columns]
     blocks = [",".join(header) + "\n"]
-    for start in range(0, columns[0].shape[0], _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        rows = zip(*(_csv_cells(column[start:stop]) for column in columns))
-        blocks.append("\n".join(map(",".join, rows)) + "\n")
+    for cells in zip(*(_csv_cells(np.asarray(column)) for column in columns)):
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return "".join(blocks)
 
 

@@ -20,6 +20,7 @@ from stochtaylor import (
     sample_pattern,
     save_model,
 )
+from stochtaylor import cli
 from stochtaylor.bench import default_spec, spec_to_dict
 from stochtaylor.cli import ingest, main
 
@@ -651,3 +652,48 @@ class TestErrorContract:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "data"
+
+
+class TestParserReuse:
+    def test_calls_on_one_parser_match_calls_on_fresh_ones(
+        self, capsys, tmp_path, toy_model_file, power_csv
+    ):
+        # main builds its parser once per process. A usage error, three
+        # commands and a data error, made one after another on that parser,
+        # give the exit codes, output, stderr lines and file bytes of the same
+        # calls each made on a freshly built parser.
+        model_path, _ = toy_model_file
+        names = ("nope.json", "p.csv", "e.csv", "m.json", "q.csv")
+        missing, p_csv, e_csv, m_json, q_csv = (os.path.join(tmp_path, n) for n in names)
+        calls = [
+            ("fit", "--bogus", "1"),
+            ("predict", "--model", model_path, "--grid", "0.5:2:40", "--out", p_csv),
+            (
+                "envelope", "--model", model_path, "--grid", "0.5:2:9",
+                "--n-real", "300", "--seed", "4", "--out", e_csv,
+            ),
+            ("fit", "--input", power_csv, "--m-max", "1", "--rescale", "2,3", "--out", m_json),
+            ("predict", "--model", missing, "--grid", "0.5:2:4", "--out", q_csv),
+        ]
+
+        def run_all(fresh):
+            results = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code, stdout, err = run_cli(capsys, *argv)
+                path = argv[argv.index("--out") + 1] if "--out" in argv else None
+                data = None
+                if path is not None and os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                    os.remove(path)
+                results.append((code, stdout, err, data))
+            return results
+
+        shared = run_all(fresh=False)
+        assert cli._build_parser() is cli._build_parser()
+        assert [r[0] for r in shared] == [1, 0, 0, 0, 2]
+        assert [json.loads(r[2])["error"] for r in shared if r[0]] == ["usage", "data"]
+        assert all(r[3] for r in shared[1:4])
+        assert run_all(fresh=True) == shared

@@ -40,6 +40,7 @@ from stochtaylor import (
 from stochtaylor.fit import SIGMA_FLOOR
 from stochtaylor.model import (
     _BLOCK_ROWS,
+    _CSV_TABLE_TEXTS,
     _LOG_MAX,
     _mean_values,
     csv_text,
@@ -545,31 +546,63 @@ def test_envelope_is_the_reduction_of_the_matrix(seed, d, m, lam, n_points, n_re
 _CSV_SPECIALS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324)
 
 
-@examples(30)
+# Column kinds for csv_text, on both of its paths. "float" and "int" repeat
+# a few values, as grid coordinates and pattern indices do; "float_distinct"
+# and "int_distinct" hold about one value per row, as a value column does;
+# the "below" and "above" kinds hold exactly _CSV_TABLE_TEXTS distinct bit
+# patterns and one more, on either side of the threshold (or one per row, on
+# fewer rows).
+_CSV_KINDS = [
+    "float", "int", "float_distinct", "int_distinct",
+    "float_below", "float_above", "int_below", "int_above",
+]
+
+
+@examples(60)
 @given(
     seed=seeds,
-    n_rows=st.sampled_from([0, 1, 511, 512, 513, 1025]),
-    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    n_rows=st.sampled_from([0, 1, 511, 512, 513, 1024, 1025, 2048]),
+    kinds=st.lists(st.sampled_from(_CSV_KINDS), min_size=1, max_size=5),
     pool=st.lists(st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats()), max_size=6),
 )
 def test_csv_text_is_the_repr_of_every_cell(seed, n_rows, kinds, pool):
-    # Each column repeats a few values, as grid coordinates do, drawn from
-    # the specials, the pool and four normals. The float columns are strided
-    # views of one (n_rows, k) array, as the CLI passes a grid's coordinates.
+    # The repeating float columns are strided views of one (n_rows, k)
+    # array, as the CLI passes a grid's coordinates; they draw from the
+    # specials, the pool and four normals. The other float columns mix the
+    # specials into normals, so a table keyed on value rather than bits
+    # would print -0.0 as 0.0.
     gen = RngStream(seed, 0).generator()
     floats = np.array([*_CSV_SPECIALS, *pool, *gen.standard_normal(4)])
-    n_float = kinds.count("float")
-    grid = floats[gen.integers(0, floats.size, (n_rows, n_float))]
-    ints = [
-        np.where(gen.random(n_rows) < 0.1, gen.integers(-(2**63), 2**63 - 1, n_rows), 0)
-        + gen.integers(-3, 4, n_rows)
-        for _ in range(len(kinds) - n_float)
-    ]
-    columns = [*grid.T, *ints]
+    grid = floats[gen.integers(0, floats.size, (n_rows, kinds.count("float")))]
+    repeating = iter(grid.T)
+
+    def column(kind):
+        if kind == "float":
+            return next(repeating)
+        if kind == "int":
+            big = gen.integers(-(2**63), 2**63 - 1, n_rows)
+            return np.where(gen.random(n_rows) < 0.1, big, 0) + gen.integers(-3, 4, n_rows)
+        if kind == "float_distinct":
+            specials = np.array(_CSV_SPECIALS)[gen.integers(0, len(_CSV_SPECIALS), n_rows)]
+            return np.where(gen.random(n_rows) < 0.1, specials, gen.standard_normal(n_rows))
+        if kind == "int_distinct":
+            return gen.integers(-(2**63), 2**63 - 1, n_rows)
+        # k distinct bit patterns, each at least once, in random order.
+        k = min(_CSV_TABLE_TEXTS + kind.endswith("above"), n_rows)
+        if kind.startswith("int"):
+            distinct = np.arange(k) - k // 2
+        else:
+            distinct = np.concatenate([_CSV_SPECIALS, gen.standard_normal(k)])[:k]
+        assert np.unique(distinct.view("u8")).size == k
+        return gen.permutation(np.concatenate([distinct, distinct[gen.integers(0, k, n_rows - k)]]))
+
+    columns = [column(kind) for kind in kinds]
     header = [f"c{i}" for i in range(len(columns))]
     lines = [",".join(header)]
     lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
-    assert csv_text(header, columns) == "".join(line + "\n" for line in lines)
+    # Compared as lists of lines: on a failure pytest then names the first
+    # line that differs, where a diff of two long texts takes minutes.
+    assert csv_text(header, columns).split("\n") == [*lines, ""]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Point-process sampling, realization sums, Monte Carlo means, envelopes."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -385,6 +388,55 @@ class TestMcValues:
         for n_real in (True, 2.5):
             with pytest.raises(DomainError):
                 mc_values(g, np.ones((3, 1)), n_real, RngStream(0, 0))
+
+
+class TestExpTerms:
+    @pytest.mark.parametrize("n_points", [1, 2, 31, 32, 200])
+    @pytest.mark.parametrize("rows", [1, 7, 327, 2048])
+    def test_d1_is_exp_of_the_broadcast_product(self, n_points, rows):
+        # At d = 1 the exponents are one BLAS outer product. The buffer starts
+        # as NaNs and infinities, which a dgemm that read it (beta != 0) would
+        # carry into the terms. Powers of either sign and zero, and products
+        # that overflow, are all exp of np.multiply's products bit for bit.
+        gen = RngStream(n_points, rows).generator()
+        n = gen.normal(0.5, 2.0, (rows, 1))
+        n[::5], n[1::5], n[3::11] = 0.0, -0.0, 1e308
+        log_delta = np.log(gen.uniform(0.05, 3.0, (n_points, 1)))
+        log_delta[0] = 0.0
+        out = np.full((rows, n_points), np.nan)
+        out[::2] = np.inf
+        with np.errstate(over="ignore"):
+            want = np.exp(np.multiply(n, log_delta.T))
+            got = simulate._exp_terms(n, log_delta, out)
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
+    def test_d1_values_do_not_depend_on_the_blas_thread_count(self):
+        # mc_values at d = 1 on the tile path (1 and 31 points) and the
+        # grouped path (32 and 200 points). Each thread count runs in a fresh
+        # interpreter, as OpenBLAS reads it at import.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__file__)))
+        code = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from stochtaylor import ComponentParams, GeneralIntensity, RngStream, mc_values\n"
+            "comps = (ComponentParams(0.8, 0.4, (1.3,), (0.3,), (0.5,)),\n"
+            "         ComponentParams(-0.5, 0.2, (-0.4,), (0.6,), (-0.2,)))\n"
+            "g = GeneralIntensity(6.5, (0.3, 0.7), comps, 1, (0.1,))\n"
+            "for n_points in (1, 31, 32, 200):\n"
+            "    grid = np.linspace(0.2, 2.6, n_points)[:, None]\n"
+            "    values = mc_values(g, grid, 1500, RngStream(8, n_points))\n"
+            "    print(n_points, hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == 4
+        assert outputs[0] == outputs[1]
 
 
 class TestMcMean:
